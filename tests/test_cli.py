@@ -93,6 +93,18 @@ def test_scan_outputs_byte_identical(tmp_path):
     assert j1.read_bytes() == j2.read_bytes()
 
 
+def test_scan_budget_below_floor(tmp_path):
+    out = tmp_path / "scan.csv"
+    code = cli(["scan", "--a-min", "0", "--a-max", "1", "--b-min", "0",
+                "--b-max", "1", "--resolution", "2", "--budget", "10",
+                "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(",undetermined,," in row for row in rows)
+    assert all(row.endswith(",budget must be at least 1000") for row in rows)
+
+
 def test_scan_json(tmp_path):
     out = tmp_path / "scan.json"
     code = cli(["scan", "--a-min", "0", "--a-max", "0", "--b-min", "0",

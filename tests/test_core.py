@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pwlin import (
     Mat2,
@@ -137,6 +139,19 @@ def test_swap_conjugacy_identity():
         lhs = step(q, (-v[0], -v[1]))
         rhs = step(p, v)
         assert math.hypot(lhs[0] + rhs[0], lhs[1] + rhs[1]) <= 1e-12 * (1 + math.hypot(*rhs))
+
+
+_slopes = st.floats(-1e6, 1e6)
+_coords = st.floats(-1e100, 1e100)
+
+
+@given(_slopes, _slopes, _coords, _coords)
+def test_inverse_step_is_swapped_step(a, b, x, y):
+    # the batched scanner walks backward orbits as swapped forward ones,
+    # so this must hold bit for bit, not up to rounding
+    params = Params(a, b)
+    sx, sy = step(params, (y, x))
+    assert inverse_step(params, (x, y)) == (sy, sx)
 
 
 def test_swap_conjugacy_orbits():

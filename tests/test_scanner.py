@@ -1,11 +1,15 @@
 """Parameter classification, grid scans, CSV/SVG emitters."""
+import math
 from fractions import Fraction
 
 import pytest
 
 from pwlin import (
+    ClassRecord,
     Params,
     PlotSpec,
+    RotationEstimate,
+    ScanConfig,
     Verdict,
     classify,
     emit_orbit_csv,
@@ -69,20 +73,113 @@ def test_scan_records_per_cell_errors(monkeypatch):
     # a failing cell is marked and the scan continues
     import pwlin.scanner as scanner_mod
 
-    original = scanner_mod.classify
+    original = scanner_mod._decide
 
-    def flaky(params, budget, config):
+    def flaky(params, est, stats, config):
         if params == Params(0.0, 0.0):
             raise RuntimeError("synthetic cell failure")
-        return original(params, budget, config)
+        return original(params, est, stats, config)
 
-    monkeypatch.setattr(scanner_mod, "classify", flaky)
+    monkeypatch.setattr(scanner_mod, "_decide", flaky)
     records = scanner_mod.scan((0.0, 1.0), (0.0, 1.0), 2, budget=1500)
     assert len(records) == 4
     failed = [r for r in records if r.error is not None]
     assert len(failed) == 1
     assert failed[0].verdict is Verdict.UNDETERMINED
     assert "synthetic" in failed[0].error
+
+
+def _classify_cell(params, budget, config):
+    """Per-cell reference: scalar classify with scan's error marker."""
+    try:
+        return classify(params, budget, config).to_dict()
+    except Exception as exc:
+        est = RotationEstimate(math.nan, budget, 1.0 / budget)
+        return ClassRecord(params, est, Verdict.UNDETERMINED,
+                           error=str(exc)).to_dict()
+
+
+def _same_float(x, y):
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return math.isclose(x, y, rel_tol=1e-12)
+
+
+def _assert_matches_classify(records, budget, config=ScanConfig()):
+    for rec in records:
+        got = rec.to_dict()
+        want = _classify_cell(rec.params, budget, config)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert _same_float(got[key], value), (rec.params, key)
+            else:
+                assert got[key] == value, (rec.params, key)
+
+
+@pytest.mark.parametrize("grid, budget, half_plane, config", [
+    (((1.0, 1.1), (1.0, 1.1), 2), 5000, False, ScanConfig()),
+    (((0.0, 1.0), (0.0, 1.0), 4), 2000, False, ScanConfig()),
+    (((0.0, 1.0), (0.0, 1.0), 4), 2000, True, ScanConfig()),
+    (((-1.2, 1.2), (-1.2, 1.2), 3), 4000, False, ScanConfig()),
+    (((-2.5, 2.5), (-2.5, 2.5), 9), 2000, False, ScanConfig()),
+    (((-2.5, 2.5), (-2.5, 2.5), 9), 2000, True, ScanConfig()),
+    # no cap: norm runs end at the first overflow, as infinities
+    (((-3.0, 3.0), (-3.0, 3.0), 5), 2000, False,
+     ScanConfig(divergence_ratio=math.inf)),
+    # a cap below the starting norm ends every norm run after one step
+    (((-3.0, 3.0), (-3.0, 3.0), 3), 2000, False,
+     ScanConfig(divergence_ratio=0.5)),
+])
+def test_scan_matches_per_cell_classify(grid, budget, half_plane, config):
+    records = scan(*grid, budget=budget, half_plane=half_plane, config=config)
+    _assert_matches_classify(records, budget, config)
+
+
+def test_equivalence_grid_covers_all_verdicts():
+    records = scan((-2.5, 2.5), (-2.5, 2.5), 9, budget=2000)
+    assert {r.verdict for r in records} == set(Verdict)
+
+
+@pytest.mark.parametrize("a_range, b_range, resolution", [
+    ((0.0, 1e-300), (-1.0, 0.0), 2),  # a = b = 0 and a = 1e-300
+    ((-1.0, 1e200), (-1.0, 1e200), 2),  # batched cells beside 1e200 ones
+    ((1e100, 1e110), (-2.0, 2.0), 2),  # slopes that shorten the chunks
+    ((math.inf, math.inf), (-1.0, -1.0), 1),
+    ((math.nan, math.nan), (-1.0, -1.0), 1),
+])
+def test_scan_edge_cells_match_classify(a_range, b_range, resolution):
+    records = scan(a_range, b_range, resolution, budget=2000)
+    _assert_matches_classify(records, 2000)
+
+
+def test_edge_cells_typed_errors():
+    from pwlin.errors import DomainError, OrbitOverflowError
+
+    with pytest.raises(OrbitOverflowError):
+        classify(Params(1e200, -1.0), budget=2000)
+    (rec,) = scan((1e200, 1e200), (-1.0, -1.0), 1, budget=2000)
+    assert rec.verdict is Verdict.UNDETERMINED
+    assert "rotation estimate is not finite" in rec.error
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            classify(Params(bad, -1.0), budget=2000)
+        (rec,) = scan((bad, bad), (-1.0, -1.0), 1, budget=2000)
+        assert rec.verdict is Verdict.UNDETERMINED
+        assert "slopes must be finite" in rec.error
+
+
+def test_scan_budget_below_floor_skips_kernel(monkeypatch):
+    import pwlin.scanner as scanner_mod
+
+    def no_kernel(*args):
+        raise AssertionError("kernel ran below the budget floor")
+
+    monkeypatch.setattr(scanner_mod, "_orbit_stats", no_kernel)
+    records = scanner_mod.scan((0.0, 1.0), (0.0, 1.0), 3, budget=10)
+    assert len(records) == 9
+    assert all(r.verdict is Verdict.UNDETERMINED for r in records)
+    assert all(r.error == "budget must be at least 1000" for r in records)
 
 
 def test_scan_swap_symmetry():

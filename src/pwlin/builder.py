@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circle import angle_of, rotation_number, snap_rational
+import numpy as np
+
+from .circle import rotation_number, snap_rational
 from .conics import (
     ConicArc,
     ConicClass,
@@ -23,15 +25,17 @@ from .conics import (
     invariant_form,
     level_through,
 )
-from .core import Params, Point, step
+from .core import OVERFLOW_LIMIT, Params, Point
 from .errors import (
     AsymptoteInSectorError,
     CommutationError,
     InconsistentPieceError,
+    OrbitOverflowError,
     PeriodicSuspectError,
     PwlinError,
 )
 from .returnmap import (
+    TWO_PI,
     OrbitRelation,
     Ray,
     commutator_residual,
@@ -45,6 +49,8 @@ MAX_GAP = 1e-6
 MAX_COMMUTATOR = 1e-8
 #: Rotation snaps with denominator <= this mark the map as periodic-suspect.
 PERIODIC_Q_MAX = 64
+#: Orbit points per numpy block in ``residual_report``; bounds its memory.
+RESIDUAL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -212,29 +218,72 @@ def residual_report(
     """Level residuals of a long orbit against the circle's arcs.
 
     Iterates ``start`` and checks each point against the form and level
-    of its containing sector.  Returns the overall maximum and the
-    per-sector maxima (CCW order of the arcs).
+    of its containing sector (the first arc, in CCW order, whose sector
+    holds the point's angle; a point in none is skipped).  Returns the
+    overall maximum and the per-sector maxima (CCW order of the arcs).
+
+    The orbit and each point's angle are computed in a scalar float
+    loop (``step``'s arithmetic and overflow check, ``math.atan2`` as in
+    ``angle_of``); sector lookup and residuals are then evaluated with
+    numpy over chunks of at most ``RESIDUAL_CHUNK`` points.  Every
+    operation is the one the per-point loop over ``Sector`` and
+    ``QuadraticForm`` would perform, in the same order, so the result
+    is bit-identical to it, and a NaN residual is never recorded.
     """
-    per_sector = [0.0] * len(circle.arcs)
-    sector_data = [
-        (arc.sector.start_angle, arc.sector.width, arc.form, arc.level)
-        for arc in circle.arcs
-    ]
-    p = start
-    params = circle.params
-    for _ in range(orbit_len):
-        p = step(params, p)
-        t = angle_of(p)
-        for i, (start_angle, width, form, level) in enumerate(sector_data):
-            rel = math.fmod(t - start_angle, 2.0 * math.pi)
-            if rel < 0.0:
-                rel += 2.0 * math.pi
-            if rel < width:
-                scale = max(1.0, abs(level))
-                r = abs(form(p) - level) / scale
-                if r > per_sector[i]:
-                    per_sector[i] = r
-                break
+    starts = np.array([arc.sector.start_angle for arc in circle.arcs])
+    widths = np.array([arc.sector.width for arc in circle.arcs])
+    coef_a = np.array([arc.form.A for arc in circle.arcs])
+    coef_2b = np.array([2.0 * arc.form.B for arc in circle.arcs])
+    coef_c = np.array([arc.form.C for arc in circle.arcs])
+    levels = np.array([arc.level for arc in circle.arcs])
+    scales = np.array([max(1.0, abs(arc.level)) for arc in circle.arcs])
+    best = np.zeros(len(circle.arcs))
+
+    a, b = circle.params.a, circle.params.b
+    atan2 = math.atan2
+    limit = OVERFLOW_LIMIT
+    x, y = start
+    if orbit_len > 0 and abs(x) > limit:
+        raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
+    done = 0
+    while done < orbit_len:
+        m = min(RESIDUAL_CHUNK, orbit_len - done)
+        # each point's y is the previous point's x, so only x is stored
+        xs = [x]
+        ts = []
+        push_x, push_t = xs.append, ts.append
+        for _ in range(m):
+            nx = (a if x >= 0 else b) * x - y
+            # step() also tests |x|, but that is the previous nx (or the
+            # start, tested above)
+            if nx > limit or nx < -limit:
+                raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
+            x, y = nx, x
+            push_x(x)
+            push_t(atan2(y, x))
+        done += m
+
+        chain = np.array(xs, dtype=float)
+        # angle_of's reduction to [0, 2*pi)
+        t = np.array(ts)
+        t = np.where(t < 0.0, t + TWO_PI, t)
+        t = np.where(t >= TWO_PI, 0.0, t)
+        rel = np.fmod(t[:, None] - starts, TWO_PI)
+        rel = np.where(rel < 0.0, rel + TWO_PI, rel)
+        inside = rel < widths
+        sec = inside.argmax(axis=1)
+        hit = inside[np.arange(m), sec]
+        sec = sec[hit]
+        px = chain[1:][hit]
+        py = chain[:-1][hit]
+        # float overflow and inf - inf pass silently, as in scalar code
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = (coef_a[sec] * px * px + coef_2b[sec] * px * py
+                 + coef_c[sec] * py * py)
+            r = np.abs(q - levels[sec]) / scales[sec]
+        keep = ~np.isnan(r)
+        np.maximum.at(best, sec[keep], r[keep])
+    per_sector = [float(v) for v in best]
     return max(per_sector), per_sector
 
 

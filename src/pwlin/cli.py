@@ -7,6 +7,7 @@ subcommands through the extended-precision backend.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -42,33 +43,40 @@ def _precision_bits() -> int | None:
     return bits
 
 
-def _maybe_mp(params: Params, point, bits):
+@contextlib.contextmanager
+def _mp_scope(params: Params, point):
+    """Yield the inputs, as mpmath floats at PWLIN_PRECISION bits if set.
+
+    The precision is scoped to the with block (``mpmath.workprec``), so
+    the caller formats its output at that precision and the process's
+    global mpmath precision is left as it was.
+    """
+    bits = _precision_bits()
     if bits is None:
-        return params, point
+        yield params, point
+        return
     import mpmath
 
-    mpmath.mp.prec = bits
-    mpf = mpmath.mpf
-    return (Params(mpf(params.a), mpf(params.b)),
-            (mpf(point[0]), mpf(point[1])))
+    with mpmath.workprec(bits):
+        mpf = mpmath.mpf
+        yield (Params(mpf(params.a), mpf(params.b)),
+               (mpf(point[0]), mpf(point[1])))
 
 
 def _cmd_orbit(ns) -> int:
-    bits = _precision_bits()
-    params, start = _maybe_mp(Params(ns.a, ns.b), (ns.x, ns.y), bits)
-    emit_orbit_csv(params, start, ns.n, ns.out)
-    print(f"wrote {ns.out}")
+    with _mp_scope(Params(ns.a, ns.b), (ns.x, ns.y)) as (params, start):
+        emit_orbit_csv(params, start, ns.n, ns.out)
+        print(f"wrote {ns.out}")
     return 0
 
 
 def _cmd_rotation(ns) -> int:
-    bits = _precision_bits()
-    params, u0 = _maybe_mp(Params(ns.a, ns.b), (1.0, 0.0), bits)
-    est = rotation_number(params, u0, ns.N)
-    snap = snap_rational(est, ns.q_max)
-    print(f"rotation value: {est.value!r}")
-    print(f"error bound:    {est.error_bound!r}")
-    print(f"snap:           {snap if snap is not None else 'none'}")
+    with _mp_scope(Params(ns.a, ns.b), (1.0, 0.0)) as (params, u0):
+        est = rotation_number(params, u0, ns.N)
+        snap = snap_rational(est, ns.q_max)
+        print(f"rotation value: {est.value!r}")
+        print(f"error bound:    {est.error_bound!r}")
+        print(f"snap:           {snap if snap is not None else 'none'}")
     return 0
 
 

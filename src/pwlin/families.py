@@ -19,8 +19,13 @@ from typing import Callable
 
 from .circle import angle_of, rotation_number
 from .conics import ConicClass, conic_class_of_trace
-from .core import Mat2, Params, iterate
-from .errors import DomainError, NoBracketError, SignConstraintError
+from .core import Mat2, Params, inverse_step, iterate, step
+from .errors import (
+    DomainError,
+    NoBracketError,
+    OrbitOverflowError,
+    SignConstraintError,
+)
 from .returnmap import (
     Ray,
     Sector,
@@ -489,15 +494,13 @@ def _spectral_data(family: FamilyId, a: float,
 
 def _diverges_both_ways(params: Params, budget: int = 100_000,
                         ratio: float = 1e6) -> bool:
-    from .core import inverse_step, step  # local to avoid cycle noise
-
     for stepf in (step, inverse_step):
         p = (0.0, 1.0)
         grew = False
         for _ in range(budget):
             try:
                 p = stepf(params, p)
-            except Exception:
+            except OrbitOverflowError:
                 grew = True
                 break
             if math.hypot(*p) > ratio:

@@ -11,7 +11,16 @@ import math
 from dataclasses import dataclass, field
 
 from .circle import angle_of, normalize
-from .core import Mat2, Params, Point, inverse_step, iterate, step, word_matrix
+from .core import (
+    OVERFLOW_LIMIT,
+    Mat2,
+    Params,
+    Point,
+    inverse_step,
+    iterate,
+    step,
+    word_matrix,
+)
 from .errors import (
     DegenerateError,
     InconsistentPieceError,
@@ -166,14 +175,38 @@ def first_preimage_in(
 
     Returns the (ray, i) pair, or None when the budget runs out first.
     Overflow of the backward orbit propagates as OrbitOverflowError.
+
+    The backward orbit is walked in one float loop with the sector's
+    start angle and width read once.  Each step, overflow test and
+    membership test is the arithmetic of ``inverse_step`` and
+    ``Sector.contains``, so the result is bit-identical to calling them
+    per step.
     """
     if target[0] == 0 and target[1] == 0:
         raise DegenerateError("target must be nonzero")
-    p = target
+    a, b = params.a, params.b
+    start_angle = sector.start_angle
+    width = sector.width
+    atan2 = math.atan2
+    fmod = math.fmod
+    x, y = target
     for i in range(max_iter + 1):
-        if i >= i_min and sector.contains(p):
-            return Ray.through(p), i
-        p = inverse_step(params, p)
+        if i >= i_min:
+            t = atan2(y, x)
+            if t < 0.0:
+                t += TWO_PI
+            if t >= TWO_PI:
+                t = 0.0
+            rel = fmod(t - start_angle, TWO_PI)
+            if rel < 0.0:
+                rel += TWO_PI
+            if rel < width:
+                return Ray.through((x, y)), i
+        ny = (a if y >= 0 else b) * y - x
+        if abs(ny) > OVERFLOW_LIMIT or abs(y) > OVERFLOW_LIMIT:
+            raise OrbitOverflowError(
+                f"orbit component exceeded {OVERFLOW_LIMIT:g}")
+        x, y = y, ny
     return None
 
 

@@ -15,9 +15,15 @@ from pwlin import (
     orbit_relation,
     residual_report,
 )
-from pwlin.errors import AsymptoteInSectorError, PeriodicSuspectError
+from pwlin.circle import angle_of
+from pwlin.core import step
+from pwlin.errors import (
+    AsymptoteInSectorError,
+    OrbitOverflowError,
+    PeriodicSuspectError,
+)
 
-from conftest import ALPHA0, B_SPECIAL
+from conftest import A_SPECIAL, ALPHA0, B_SPECIAL, C_SPECIAL
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +171,96 @@ def test_rejects_positive_lambda_relation():
     bad = dataclasses.replace(rel, lam=1.0)
     with pytest.raises(ValueError):
         build_invariant_circle(params, bad)
+
+
+# ------------------- residual report against the scalar loop -------------------
+
+def _reference_residual_report(circle, orbit_len=100_000, start=(0.0, 1.0)):
+    """Per-point scalar loop over ``step``, ``angle_of``, the sectors in
+    CCW order and ``QuadraticForm.__call__``: the oracle that the
+    chunked report must reproduce bit for bit."""
+    per_sector = [0.0] * len(circle.arcs)
+    sector_data = [
+        (arc.sector.start_angle, arc.sector.width, arc.form, arc.level)
+        for arc in circle.arcs
+    ]
+    p = start
+    params = circle.params
+    for _ in range(orbit_len):
+        p = step(params, p)
+        t = angle_of(p)
+        for i, (start_angle, width, form, level) in enumerate(sector_data):
+            rel = math.fmod(t - start_angle, 2.0 * math.pi)
+            if rel < 0.0:
+                rel += 2.0 * math.pi
+            if rel < width:
+                scale = max(1.0, abs(level))
+                r = abs(form(p) - level) / scale
+                if r > per_sector[i]:
+                    per_sector[i] = r
+                break
+    return max(per_sector), per_sector
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except OrbitOverflowError as exc:
+        return ("overflow", str(exc))
+
+
+@pytest.fixture(scope="module")
+def report_circles():
+    """Circles of the 8-step (A) and 10-step (B) families at the special
+    points, plus one elliptic B point.  Family C has no certified circle
+    (an asymptote lies in a sector), so its case runs the B circle's
+    arcs under the C slopes: a divergent orbit that overflows."""
+    circles = {}
+    for name, a, b in (("A", A_SPECIAL, -A_SPECIAL),
+                       ("B", B_SPECIAL, -B_SPECIAL),
+                       ("B-ellipse", 0.1, family_b(FamilyId.EX_B, 0.1))):
+        params = Params(a, b)
+        circles[name] = build_invariant_circle(params, orbit_relation(params))
+    assert [c.sector_count for c in circles.values()] == [8, 10, 10]
+    circles["C-slopes"] = dataclasses.replace(
+        circles["B"], params=Params(C_SPECIAL, -C_SPECIAL))
+    return circles
+
+
+@pytest.mark.parametrize("name", ["A", "B", "B-ellipse", "C-slopes"])
+@pytest.mark.parametrize("orbit_len", [0, 1, 4095, 4096, 4097, 100_000])
+def test_residual_report_matches_scalar_loop(report_circles, name, orbit_len):
+    circle = report_circles[name]
+    got = _outcome(residual_report, circle, orbit_len=orbit_len)
+    want = _outcome(_reference_residual_report, circle, orbit_len=orbit_len)
+    assert got == want
+    if name == "C-slopes" and orbit_len == 100_000:
+        assert got[0] == "overflow"
+
+
+def test_residual_report_start_and_nan_level(report_circles):
+    """A NaN residual is never recorded and does not hide the other
+    points of its chunk; a start off (0, 1) follows the same loop."""
+    circle = report_circles["A"]
+    arcs = list(circle.arcs)
+    arcs[2] = dataclasses.replace(arcs[2], level=math.nan)
+    arcs[5] = dataclasses.replace(arcs[5], level=math.inf)
+    odd = dataclasses.replace(circle, arcs=arcs)
+    got = residual_report(odd, orbit_len=5000, start=(0.3, -0.7))
+    assert got == _reference_residual_report(odd, 5000, start=(0.3, -0.7))
+    per_sector = got[1]
+    assert per_sector[2] == 0.0 and per_sector[5] == 0.0
+    assert all(r > 0.0 for i, r in enumerate(per_sector) if i not in (2, 5))
+
+
+def test_residual_report_overflowing_start(report_circles):
+    # one step each: an escaping start component (the second start has
+    # a tiny image), and an image escaping either way
+    circle = report_circles["A"]
+    a = circle.params.a
+    for start in ((2e300, a * 2e300), (2e300, 0.0), (0.0, 2e300)):
+        with pytest.raises(OrbitOverflowError) as got:
+            residual_report(circle, orbit_len=1, start=start)
+        with pytest.raises(OrbitOverflowError) as want:
+            _reference_residual_report(circle, 1, start=start)
+        assert str(got.value) == str(want.value)

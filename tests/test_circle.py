@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlin import (
     Params,
@@ -165,7 +167,18 @@ def test_snap_requires_enough_steps():
 
 def test_rotation_mpf_backend():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.prec = 120
-    p = Params(mpmath.mpf(0), mpmath.mpf(0))
-    est = rotation_number(p, (mpmath.mpf(1), mpmath.mpf(0)), 100)
-    assert abs(est.value - mpmath.mpf("0.25")) < mpmath.mpf(2) ** -100
+    with mpmath.workprec(120):
+        p = Params(mpmath.mpf(0), mpmath.mpf(0))
+        est = rotation_number(p, (mpmath.mpf(1), mpmath.mpf(0)), 100)
+        assert abs(est.value - mpmath.mpf("0.25")) < mpmath.mpf(2) ** -100
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+       st.floats(0.0, 2 * math.pi), st.integers(1, 2000))
+def test_rotation_estimate_within_bound_of_range(a, b, theta, steps):
+    # the rotation number lies in [0, 1/2]; the float estimate is
+    # within its 1/N error bound of it
+    est = rotation_number(Params(a, b), (math.cos(theta), math.sin(theta)),
+                          steps)
+    assert -est.error_bound <= est.value <= 0.5 + est.error_bound

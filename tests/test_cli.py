@@ -1,6 +1,8 @@
 """CLI subcommands and exit codes."""
 import json
 
+import pytest
+
 from pwlin.cli import cli
 
 from conftest import C_SPECIAL
@@ -148,3 +150,18 @@ def test_precision_env(tmp_path, monkeypatch, capsys):
     assert "0.25" in out
     monkeypatch.setenv("PWLIN_PRECISION", "junk")
     assert cli(["rotation", "-a", "0", "-b", "0", "-N", "100"]) == 1
+
+
+def test_precision_env_is_scoped(tmp_path, monkeypatch, capsys):
+    mpmath = pytest.importorskip("mpmath")
+    before = mpmath.mp.prec
+    monkeypatch.setenv("PWLIN_PRECISION", "113")
+    assert cli(["rotation", "-a", "1.2", "-b", "-1.0", "-N", "200"]) == 0
+    assert mpmath.mp.prec == before
+    out = tmp_path / "orbit.csv"
+    assert cli(["orbit", "-a", "1.2", "-b", "-1.0", "-x", "0", "-y", "1",
+                "-n", "20", "--out", str(out)]) == 0
+    assert mpmath.mp.prec == before
+    # the value was formatted inside the scope: more digits than a double
+    value = capsys.readouterr().out.splitlines()[0].split("'")[1]
+    assert len(value.lstrip("0.")) > 20

@@ -218,9 +218,9 @@ def test_overflow_is_indexed():
 
 def test_extended_precision_backend():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.prec = 200
-    p = Params(mpmath.mpf("1.2"), mpmath.mpf("-1.3"))
-    orbit, word = iterate(p, (mpmath.mpf(0), mpmath.mpf(-1)), 6)
-    assert len(orbit) == 7 and len(word) == 6
-    w = inverse_step(p, step(p, (mpmath.mpf("0.3"), mpmath.mpf("0.4"))))
-    assert abs(w[0] - mpmath.mpf("0.3")) < mpmath.mpf(2) ** -150
+    with mpmath.workprec(200):
+        p = Params(mpmath.mpf("1.2"), mpmath.mpf("-1.3"))
+        orbit, word = iterate(p, (mpmath.mpf(0), mpmath.mpf(-1)), 6)
+        assert len(orbit) == 7 and len(word) == 6
+        w = inverse_step(p, step(p, (mpmath.mpf("0.3"), mpmath.mpf("0.4"))))
+        assert abs(w[0] - mpmath.mpf("0.3")) < mpmath.mpf(2) ** -150

@@ -14,7 +14,7 @@ from pwlin import (
     verify_family,
 )
 from pwlin.errors import DomainError, NoBracketError, SignConstraintError
-from pwlin.families import piece_matrices, trace_formula
+from pwlin.families import _diverges_both_ways, piece_matrices, trace_formula
 
 from conftest import (
     A_SPECIAL,
@@ -209,6 +209,13 @@ def test_verify_thirteen_step():
     names = {c.name: c for c in report.checks}
     assert names["divergence"].passed
     assert report.passed
+
+
+def test_divergence_check_surfaces_bugs():
+    # only an orbit overflow counts as divergence; a TypeError from
+    # malformed slopes propagates instead of reading as "diverges"
+    with pytest.raises(TypeError):
+        _diverges_both_ways(Params(None, None), budget=10)
 
 
 def test_verify_reports_failure_not_raise():

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pwlin import (
     FamilyId,
@@ -21,7 +23,15 @@ from pwlin import (
     word_matrix,
 )
 from pwlin.circle import angle_of
-from pwlin.errors import DegenerateError, NoReturnError, PwlinError
+from pwlin.core import inverse_step
+from pwlin.errors import (
+    DegenerateError,
+    NoReturnError,
+    OrbitOverflowError,
+    PwlinError,
+)
+
+from conftest import A_SPECIAL, B_SPECIAL, C_SPECIAL
 
 
 # --------------------------- sectors & rays ---------------------------
@@ -71,6 +81,50 @@ def test_first_preimage_budget_exhausted():
     p = Params(0.0, 0.0)  # period 4: never reaches a sector off the axes orbit
     s = Sector(Ray.at_angle(0.3), Ray.at_angle(0.4))
     assert first_preimage_in(p, (0.0, 1.0), s, i_min=0, max_iter=50) is None
+
+
+def _brute_preimage(params, target, sector, i_min, max_iter):
+    """Oracle: the backward walk through ``inverse_step`` and
+    ``Sector.contains``, one call each per step."""
+    p = target
+    for i in range(max_iter + 1):
+        if i >= i_min and sector.contains(p):
+            return Ray.through(p), i
+        p = inverse_step(params, p)
+    return None
+
+
+def _preimage_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrbitOverflowError as exc:
+        return ("overflow", str(exc))
+
+
+def test_first_preimage_matches_brute_force():
+    """Bit-identical to the per-step walk on every distinguished sector
+    of the A, B and C special points, for the four targets that
+    ``return_map`` asks about and two near the overflow limit.  Budget 2 runs out on some of them, and
+    the divergent C pair's backward orbits overflow on others."""
+    seen = set()
+    for a in (A_SPECIAL, B_SPECIAL, C_SPECIAL):
+        params = Params(a, -a)
+        sectors = distinguished_sectors(
+            distinguished_set(params, orbit_relation(params)))
+        for sector in sectors:
+            # far-out targets walk near, and past, the overflow limit
+            for target in ((0.0, 1.0), (0.0, -1.0),
+                           sector.start.direction, sector.end.direction,
+                           (0.0, 1e250), (a * 2e300, 2e300)):
+                for i_min in (0, 1):
+                    for budget in (10_000, 2):
+                        args = (params, target, sector, i_min, budget)
+                        got = _preimage_outcome(first_preimage_in, *args)
+                        assert got == _preimage_outcome(_brute_preimage,
+                                                        *args)
+                        seen.add("none" if got is None else
+                                 got[0] if got[0] == "overflow" else "hit")
+    assert seen == {"hit", "none", "overflow"}
 
 
 # --------------------------- return maps ---------------------------
@@ -159,6 +213,31 @@ def test_return_map_wide_sector():
     assert sector.width > math.pi
     rmap = return_map(params, sector)
     assert [p.word for p in rmap.pieces] == ["-+++-", "++++"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(-1.95, 1.95), st.floats(-1.95, 1.95),
+       st.floats(0.0, 2 * math.pi), st.floats(0.02, 6.2))
+def test_return_pieces_tile_sector(a, b, start, width):
+    """The pieces run CCW from sector.start to sector.end, each one
+    starting where the previous ends, and every piece matrix has det 1.
+    (Slopes inside (-2, 2) leave no invariant ray; an orbit can still
+    be caught by an attracting cycle off the sector: NoReturnError.)"""
+    sector = Sector(Ray.at_angle(start), Ray.at_angle(start + width))
+    try:
+        rmap = return_map(Params(a, b), sector)
+    except NoReturnError:
+        assume(False)
+    subs = [piece.subsector for piece in rmap.pieces]
+    assert subs[0].start == sector.start and subs[-1].end == sector.end
+    assert all(s.end == t.start for s, t in zip(subs, subs[1:]))
+    offsets = [(s.start_angle - sector.start_angle) % (2 * math.pi)
+               for s in subs[1:]]
+    assert offsets == sorted(offsets)
+    assert all(0.0 < o < sector.width for o in offsets)
+    assert abs(sum(s.width for s in subs) - sector.width) <= 1e-9
+    assert all(abs(piece.matrix.det() - 1.0) <= 1e-9
+               for piece in rmap.pieces)
 
 
 # --------------------------- commutators ---------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import rotation_number, snap_rational
+from .circle import TWO_PI, rotation_number, snap_rational
 from .conics import (
     ConicArc,
     ConicClass,
@@ -25,7 +25,7 @@ from .conics import (
     invariant_form,
     level_through,
 )
-from .core import OVERFLOW_LIMIT, Params, Point
+from .core import OVERFLOW_LIMIT, Params, Point, walk_chain
 from .errors import (
     AsymptoteInSectorError,
     CommutationError,
@@ -35,7 +35,6 @@ from .errors import (
     PwlinError,
 )
 from .returnmap import (
-    TWO_PI,
     OrbitRelation,
     Ray,
     commutator_residual,
@@ -222,14 +221,26 @@ def residual_report(
     holds the point's angle; a point in none is skipped).  Returns the
     overall maximum and the per-sector maxima (CCW order of the arcs).
 
-    The orbit and each point's angle are computed in a scalar float
-    loop (``step``'s arithmetic and overflow check, ``math.atan2`` as in
-    ``angle_of``); sector lookup and residuals are then evaluated with
-    numpy over chunks of at most ``RESIDUAL_CHUNK`` points.  Every
-    operation is the one the per-point loop over ``Sector`` and
+    The orbit is walked in chunks of at most ``RESIDUAL_CHUNK`` points
+    by the float walker ``rotation_number`` also uses
+    (:func:`walk_chain`: ``step``'s arithmetic, no per-step check).
+    ``step`` would raise at the first component beyond
+    ``OVERFLOW_LIMIT``, and that aborts the whole call, so the same
+    error is raised when any non-NaN point of a chunk exceeds it.  Each
+    point's angle is ``math.atan2`` as in ``angle_of``; sector lookup
+    and residuals are then evaluated with numpy.  Every operation is
+    the one the per-point loop over ``step``, ``Sector`` and
     ``QuadraticForm`` would perform, in the same order, so the result
     is bit-identical to it, and a NaN residual is never recorded.
     """
+    max_res, per_sector, _ = _residual_walk(circle, orbit_len, start, 0)
+    return max_res, per_sector
+
+
+def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
+                   keep: int) -> tuple[float, list[float], list[Point]]:
+    """:func:`residual_report`, plus the first ``keep + 1`` points of its
+    orbit (``start`` included), taken from the same walk."""
     starts = np.array([arc.sector.start_angle for arc in circle.arcs])
     widths = np.array([arc.sector.width for arc in circle.arcs])
     coef_a = np.array([arc.form.A for arc in circle.arcs])
@@ -240,32 +251,26 @@ def residual_report(
     best = np.zeros(len(circle.arcs))
 
     a, b = circle.params.a, circle.params.b
-    atan2 = math.atan2
     limit = OVERFLOW_LIMIT
     x, y = start
     if orbit_len > 0 and abs(x) > limit:
         raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
+    kept = [y, x]  # the chain of the first keep steps
     done = 0
     while done < orbit_len:
         m = min(RESIDUAL_CHUNK, orbit_len - done)
-        # each point's y is the previous point's x, so only x is stored
-        xs = [x]
-        ts = []
-        push_x, push_t = xs.append, ts.append
-        for _ in range(m):
-            nx = (a if x >= 0 else b) * x - y
-            # step() also tests |x|, but that is the previous nx (or the
-            # start, tested above)
-            if nx > limit or nx < -limit:
-                raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
-            x, y = nx, x
-            push_x(x)
-            push_t(atan2(y, x))
+        chain = walk_chain(a, b, x, y, m)
+        xs = np.array(chain)
+        # the start's x was tested above, every later x is in this chunk
+        if (np.abs(xs[2:]) > limit).any():
+            raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
+        if done < keep:
+            kept.extend(chain[2:2 + keep - done])
+        y, x = chain[-2], chain[-1]
         done += m
 
-        chain = np.array(xs, dtype=float)
         # angle_of's reduction to [0, 2*pi)
-        t = np.array(ts)
+        t = np.array(list(map(math.atan2, chain[1:-1], chain[2:])))
         t = np.where(t < 0.0, t + TWO_PI, t)
         t = np.where(t >= TWO_PI, 0.0, t)
         rel = np.fmod(t[:, None] - starts, TWO_PI)
@@ -274,17 +279,18 @@ def residual_report(
         sec = inside.argmax(axis=1)
         hit = inside[np.arange(m), sec]
         sec = sec[hit]
-        px = chain[1:][hit]
-        py = chain[:-1][hit]
+        px = xs[2:][hit]
+        py = xs[1:-1][hit]
         # float overflow and inf - inf pass silently, as in scalar code
         with np.errstate(over="ignore", invalid="ignore"):
             q = (coef_a[sec] * px * px + coef_2b[sec] * px * py
                  + coef_c[sec] * py * py)
             r = np.abs(q - levels[sec]) / scales[sec]
-        keep = ~np.isnan(r)
-        np.maximum.at(best, sec[keep], r[keep])
+        valid = ~np.isnan(r)
+        np.maximum.at(best, sec[valid], r[valid])
     per_sector = [float(v) for v in best]
-    return max(per_sector), per_sector
+    orbit = [start, *zip(kept[2:], kept[1:-1])]
+    return max(per_sector), per_sector, orbit
 
 
 def circle_to_polyline(

@@ -5,8 +5,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Params, Point, step
+import numpy as np
+
+from .core import Params, Point, rescale_chunk, step, walk_chain
 from .errors import DegenerateError
+
+TWO_PI = 2.0 * math.pi
 
 
 def _backend(*values):
@@ -100,6 +104,18 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     The orbit direction is tracked without per-step normalization;
     exact power-of-two rescaling keeps the components in range, which
     leaves every angle (and every branch decision) bit-identical.
+
+    Float inputs are walked by :func:`walk_chain`, the walker
+    ``residual_report`` also uses: unchecked steps in chunks bounded by
+    :func:`rescale_chunk`, rescaled by a power of two between chunks;
+    each point's angle is ``math.atan2``, and the unwrapped increments
+    are summed in numpy in the per-step loop's order.  Power-of-two
+    scaling is exact and ``math.atan2`` is scale-invariant, so the
+    result is bit-identical to a per-step loop that rescales by
+    ``2**512`` whenever the larger component leaves [1e-150, 1e150].
+    That loop itself still runs where no chunk is safe (slopes not
+    finite or of magnitude ``2**399`` and beyond, a zero or non-finite
+    start) and for the first steps of a start outside that band.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -127,19 +143,63 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     return RotationEstimate(value, steps, 1.0 / steps)
 
 
+#: Angles per numpy block in ``_rotation_float``; bounds its memory.
+ROTATION_BLOCK = 4096
+_HALF_PI = 0.5 * math.pi
+_THREE_HALF_PI = 1.5 * math.pi
 _RESCALE_UP = 2.0 ** 512
 _RESCALE_DOWN = 2.0 ** -512
 
 
 def _rotation_float(params: Params, x: float, y: float, steps: int) -> RotationEstimate:
-    # Hot loop: locals only, no function calls besides atan2.
     a, b = params.a, params.b
-    atan2 = math.atan2
-    two_pi = 2.0 * math.pi
-    half_pi = 0.5 * math.pi
-    three_half_pi = 1.5 * math.pi
-    prev = atan2(y, x)
+    prev = math.atan2(y, x)
+    chunk = rescale_chunk((a, b), ROTATION_BLOCK)
+    if not (chunk and (x or y) and math.isfinite(x) and math.isfinite(y)):
+        total = _rotation_steps(a, b, x, y, prev, 0.0, steps)[3]
+        return RotationEstimate(total / steps, steps, 1.0 / steps)
     total = 0.0
+    done = 0
+    # Once a point lies in [1e-150, 1e150] the per-step loop keeps every
+    # later point there, and its points are the chunked walk's times a
+    # power of two.  Until then (a few steps for a finite nonzero start)
+    # it is run as it is.
+    while done < steps and not 1e-150 <= max(abs(x), abs(y)) <= 1e150:
+        x, y, prev, total = _rotation_steps(a, b, x, y, prev, total, 1)
+        done += 1
+    angles: list[float] = []
+    while done < steps:
+        e = math.frexp(max(abs(x), abs(y)))[1]
+        m = min(chunk, steps - done)
+        chain = walk_chain(a, b, math.ldexp(x, -e), math.ldexp(y, -e), m)
+        angles.extend(map(math.atan2, chain[1:-1], chain[2:]))
+        y, x = chain[-2], chain[-1]
+        done += m
+        if len(angles) >= ROTATION_BLOCK or done == steps:
+            total = _sum_turns(angles, prev, total)
+            prev = angles[-1]
+            angles = []
+    return RotationEstimate(total / steps, steps, 1.0 / steps)
+
+
+def _sum_turns(angles: list[float], prev: float, total: float) -> float:
+    """``total`` plus the lift increments along ``angles`` in turns, as
+    the per-step loop adds them: each difference unwrapped to
+    [-pi/2, 3*pi/2), divided by 2*pi, and summed left to right."""
+    d = np.diff(np.array(angles), prepend=prev)
+    d = np.where(d < -_HALF_PI, d + TWO_PI,
+                 np.where(d >= _THREE_HALF_PI, d - TWO_PI, d))
+    acc = np.empty(len(angles) + 1)
+    acc[0] = total  # carried in first, so the summation order is the loop's
+    np.divide(d, TWO_PI, out=acc[1:])
+    return float(np.add.accumulate(acc, out=acc)[-1])
+
+
+def _rotation_steps(a, b, x, y, prev, total, steps):
+    """The per-step loop: ``steps`` steps with the angle and a rescale
+    by ``2**512`` either way at each; returns (x, y, prev, total)."""
+    atan2 = math.atan2
+    two_pi, half_pi, three_half_pi = TWO_PI, _HALF_PI, _THREE_HALF_PI
     for _ in range(steps):
         x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
         ax = x if x >= 0.0 else -x
@@ -159,7 +219,7 @@ def _rotation_float(params: Params, x: float, y: float, steps: int) -> RotationE
             d -= two_pi
         total += d / two_pi
         prev = t
-    return RotationEstimate(total / steps, steps, 1.0 / steps)
+    return x, y, prev, total
 
 
 def convergents(x: float, q_max: int):

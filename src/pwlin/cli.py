@@ -13,12 +13,12 @@ import math
 import os
 import sys
 
-from .builder import build_invariant_circle, circle_to_polyline, residual_report
+from .builder import _residual_walk, build_invariant_circle, circle_to_polyline
 from .circle import rotation_number, snap_rational
 from .core import Params
 from .errors import PwlinError
 from .families import FamilyId, curve_find, verify_family
-from .output import PlotSpec, emit_orbit_csv, emit_svg
+from .output import PlotSpec, _write_svg, emit_orbit_csv, emit_svg
 from .returnmap import Ray, Sector, commutator_residual, orbit_relation, return_map
 from .scanner import scan
 
@@ -106,12 +106,18 @@ def _cmd_circle(ns) -> int:
             "no orbit relation from (0,1) to (0,-1) found; this parameter "
             "pair is outside the certified-circle families")
     circle = build_invariant_circle(params, relation, n_samples=ns.samples)
-    max_res, _ = residual_report(circle, orbit_len=ns.orbit_len)
+    plot_n = min(ns.orbit_len, 20000)
+    # one walk gives the residual report and the plotted orbit prefix
+    max_res, _, orbit = _residual_walk(circle, ns.orbit_len, (0.0, 1.0),
+                                       plot_n)
     poly = circle_to_polyline(circle)
     svg_path = ns.svg or "circle.svg"
     json_path = ns.json or "circle.json"
-    emit_svg(PlotSpec(params, (0.0, 1.0), min(ns.orbit_len, 20000),
-                      svg_path, overlay=poly))
+    plot = PlotSpec(params, (0.0, 1.0), plot_n, svg_path, overlay=poly)
+    if plot_n < 0:  # a negative --orbit-len plots the backward orbit
+        emit_svg(plot)
+    else:
+        _write_svg(plot, orbit)
     payload = {
         "schema_version": "v1",
         "a": params.a,

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circle import TWO_PI
 from .core import Mat2, Point
 from .errors import AsymptoteInSectorError, DegenerateError, DegenerateMatrixError
 from .returnmap import Ray, Sector
-
-TWO_PI = 2.0 * math.pi
 
 #: Default tolerance for the |trace| = 2 boundary.
 TRACE_TOL = 1e-9

@@ -9,6 +9,7 @@ can be substituted for ``float`` without any API change.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import OrbitOverflowError
@@ -107,6 +108,46 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     return orbit, "".join(reversed(signs))
 
 
+#: An orbit walked in unchecked chunks may grow by at most this many bits
+#: within one chunk (see :func:`rescale_chunk`).
+GROWTH_BITS = 400
+
+
+def rescale_chunk(slopes, cap: int) -> int:
+    """Steps per chunk for an orbit walked without per-step checks.
+
+    Between chunks the orbit is rescaled by an exact power of two.  One
+    step changes its max-norm by at most a factor ``max|slope| + 1``
+    either way, so the chunk (at most ``cap`` steps) is kept short
+    enough that this factor to its length stays within
+    ``2**GROWTH_BITS``: an orbit rescaled below 1 then never overflows,
+    and never comes near the subnormal range, inside a chunk.  Returns 0
+    when no chunk is safe: a slope that is not a finite float, or has
+    magnitude ``2**(GROWTH_BITS - 1)`` or more.
+    """
+    limit = 2.0 ** (GROWTH_BITS - 1)
+    if not all(isinstance(v, (int, float)) and abs(v) < limit for v in slopes):
+        return 0
+    growth = math.log2(max(abs(v) for v in slopes) + 1.0)
+    return min(cap, int(GROWTH_BITS / max(growth, 1.0)))
+
+
+def walk_chain(a: float, b: float, x: float, y: float, n: int) -> list:
+    """x-components of ``n`` forward float steps from ``(x, y)``.
+
+    Returns ``[y, x, x_1, ..., x_n]``: each point's y is the previous
+    point's x, so point ``k`` of the orbit is ``(chain[k + 1],
+    chain[k])``.  Each step is :func:`step`'s arithmetic without its
+    overflow test; callers bound the chunk or check it afterwards.
+    """
+    chain = [y, x]
+    push = chain.append
+    for _ in range(n):
+        x, y = (a * x - y if x >= 0.0 else b * x - y), x
+        push(x)
+    return chain
+
+
 @dataclass(frozen=True)
 class Mat2:
     """A 2x2 real matrix, row-major entries."""
@@ -117,8 +158,10 @@ class Mat2:
     m22: float
 
     @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1.0, 0.0, 0.0, 1.0)
+    def identity(cls, one=1.0) -> "Mat2":
+        """The identity, with entries of ``one``'s numeric type."""
+        zero = one - one
+        return cls(one, zero, zero, one)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -154,7 +197,8 @@ class Mat2:
 def step_factor(params: Params, sign: str) -> Mat2:
     """The per-step cocycle factor [[a or b, -1], [1, 0]] for one symbol."""
     slope = params.a if sign == PLUS else params.b
-    return Mat2(slope, -1.0, 1.0, 0.0)
+    one = slope ** 0  # 1 in the slope's own numeric type
+    return Mat2(slope, -one, one, one - one)
 
 
 def word_matrix(params: Params, word: str) -> Mat2:
@@ -165,7 +209,8 @@ def word_matrix(params: Params, word: str) -> Mat2:
     Double inputs are accumulated in extended precision: the slopes blow
     up near the parameter poles of the relation families, and the
     resulting cancellations would otherwise eat the 1e-12 identity
-    margin.  The result is rounded back to doubles.
+    margin.  The result is rounded back to doubles.  Other inputs keep
+    their own numeric type (``Fraction`` slopes give an exact product).
     """
     a, b = params.a, params.b
     if isinstance(a, float) and isinstance(b, float):
@@ -181,7 +226,9 @@ def word_matrix(params: Params, word: str) -> Mat2:
         # saturating conversion: entries beyond the double range become inf
         return Mat2(float(np.float64(m11)), float(np.float64(m12)),
                     float(np.float64(m21)), float(np.float64(m22)))
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    # seed the product in the slopes' own type, so exact inputs stay exact
+    one = a ** 0
+    m11, m12, m21, m22 = one, one - one, one - one, one
     for ch in word:
         slope = a if ch == PLUS else b
         # left-multiply by [[slope, -1], [1, 0]]

@@ -65,7 +65,11 @@ def emit_svg(spec: PlotSpec) -> None:
     points with a 5% margin; the axes are drawn through the origin when
     it is inside the window.
     """
-    points = _orbit_points(spec)
+    _write_svg(spec, _orbit_points(spec))
+
+
+def _write_svg(spec: PlotSpec, points: list[Point]) -> None:
+    """:func:`emit_svg` with the orbit points already computed."""
     allpts = list(points)
     if spec.overlay:
         allpts.extend(spec.overlay)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circle import angle_of, normalize
+from .circle import TWO_PI, angle_of, normalize
 from .core import (
     OVERFLOW_LIMIT,
     Mat2,
@@ -27,8 +27,6 @@ from .errors import (
     NoReturnError,
     OrbitOverflowError,
 )
-
-TWO_PI = 2.0 * math.pi
 
 #: Rays closer than this (radians) are treated as the same direction.
 RAY_DEDUP_TOL = 1e-11

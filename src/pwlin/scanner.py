@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import RotationEstimate, rotation_number, snap_rational
-from .core import (OVERFLOW_LIMIT, Mat2, Params, Point, inverse_step, step,
-                   word_matrix)
+from .circle import TWO_PI, RotationEstimate, rotation_number, snap_rational
+from .core import (OVERFLOW_LIMIT, Mat2, Params, Point, inverse_step,
+                   rescale_chunk, step, word_matrix)
 from .errors import DomainError, OrbitOverflowError
 
 
@@ -252,7 +252,8 @@ def scan(
                 cells.append(Params(a, b))
     stats = {}
     if budget >= 1000:  # below it, classify fails every cell
-        batch = [k for k, params in enumerate(cells) if _batchable(params)]
+        batch = [k for k, params in enumerate(cells)
+                 if rescale_chunk((params.a, params.b), _CHUNK)]
         for lo in range(0, len(batch), _BLOCK):
             block = batch[lo:lo + _BLOCK]
             stats.update(zip(block, _orbit_stats(
@@ -271,22 +272,10 @@ def scan(
     return out
 
 
-# Lanes are rescaled every _CHUNK steps at most.  One step changes a
-# lane's max-norm by at most a factor max(|a|, |b|) + 1 either way, so a
-# chunk is shortened until that factor to its length stays within
-# 2**_GROWTH_BITS: lanes then never overflow, and never come near the
-# subnormal range, between rescales.
+# Lanes are rescaled every _CHUNK steps at most, fewer where the slopes
+# are steep (see rescale_chunk).
 _CHUNK = 64
-_GROWTH_BITS = 400
 _BLOCK = 4096  # cells per kernel call, bounding the buffers
-
-
-def _batchable(params: Params) -> bool:
-    """Whether the kernel reproduces :func:`classify` on this cell: float
-    slopes, finite and small enough for a chunk of at least one step."""
-    limit = 2.0 ** (_GROWTH_BITS - 1)
-    return all(isinstance(v, (int, float)) and abs(v) < limit
-               for v in (params.a, params.b))
 
 
 def _orbit_stats(cells: list[Params], budget: int,
@@ -308,8 +297,7 @@ def _orbit_stats(cells: list[Params], budget: int,
     a = np.array([c.a for c in cells], dtype=float)
     b = np.array([c.b for c in cells], dtype=float)
     slope_a, slope_b = np.tile(a, 2), np.tile(b, 2)
-    growth = math.log2(max(np.abs(a).max(), np.abs(b).max()) + 1.0)
-    chunk = min(_CHUNK, int(_GROWTH_BITS / max(growth, 1.0)))
+    chunk = rescale_chunk((np.abs(a).max(), np.abs(b).max()), _CHUNK)
 
     buf = np.empty((chunk + 1, 2 * n))
     rows = list(buf)
@@ -318,7 +306,7 @@ def _orbit_stats(cells: list[Params], budget: int,
     expo = np.zeros(2 * n, dtype=np.int64)  # true lane = buffer * 2**expo
     nonneg = np.empty(2 * n, dtype=bool)
 
-    two_pi, half_pi, three_half_pi = 2.0 * math.pi, 0.5 * math.pi, 1.5 * math.pi
+    two_pi, half_pi, three_half_pi = TWO_PI, 0.5 * math.pi, 1.5 * math.pi
     prev = np.zeros(n)  # angle of (1, 0)
     turns = np.zeros((chunk + 1, n))  # row 0 carries the running total
 

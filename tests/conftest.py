@@ -7,8 +7,14 @@ frozen here; the tests then compare library output against them.
 import math
 
 import pytest
+from hypothesis import settings
 
 from pwlin import FamilyId, Params, family_b
+
+# Property tests draw the same examples on every run; a failure seen once
+# is seen again.  max_examples stays at Hypothesis's default.
+settings.register_profile("pwlin", derandomize=True, deadline=None)
+settings.load_profile("pwlin")
 
 # the three distinguished algebraic parameter points (b = -a on each curve)
 A_SPECIAL = 2.0 ** 0.25                       # 8-step family

@@ -15,6 +15,7 @@ from pwlin import (
     orbit_relation,
     residual_report,
 )
+from pwlin.builder import _residual_walk
 from pwlin.circle import angle_of
 from pwlin.core import step
 from pwlin.errors import (
@@ -251,6 +252,27 @@ def test_residual_report_start_and_nan_level(report_circles):
     per_sector = got[1]
     assert per_sector[2] == 0.0 and per_sector[5] == 0.0
     assert all(r > 0.0 for i, r in enumerate(per_sector) if i not in (2, 5))
+
+
+def test_residual_report_nan_orbit_is_not_overflow(report_circles):
+    # an infinite slope sends (0, 1) to NaN, which never compares above
+    # the limit: the per-step loop keeps going, and so must the chunks
+    circle = dataclasses.replace(report_circles["A"],
+                                 params=Params(math.inf, -A_SPECIAL))
+    got = _outcome(residual_report, circle, orbit_len=4097)
+    assert got == _outcome(_reference_residual_report, circle, orbit_len=4097)
+    assert got == (0.0, [0.0] * 8)
+
+
+@pytest.mark.parametrize("orbit_len, keep", [(0, 0), (7, 7), (4097, 4097),
+                                             (100_000, 20_000)])
+def test_residual_walk_keeps_the_iterated_prefix(report_circles, orbit_len,
+                                                  keep):
+    circle = report_circles["B"]
+    got, per_sector, orbit = _residual_walk(circle, orbit_len, (0.0, 1.0),
+                                            keep)
+    assert (got, per_sector) == residual_report(circle, orbit_len=orbit_len)
+    assert orbit == iterate(circle.params, (0.0, 1.0), keep)[0]
 
 
 def test_residual_report_overflowing_start(report_circles):

@@ -15,9 +15,10 @@ from pwlin import (
     s_step,
     snap_rational,
 )
-from pwlin.circle import RotationEstimate, angle_of
+from pwlin.circle import ROTATION_BLOCK, RotationEstimate, angle_of
+from pwlin.core import rescale_chunk
 
-from conftest import A_SPECIAL, A_SPECIAL_ROTATION
+from conftest import A_SPECIAL, A_SPECIAL_ROTATION, B_SPECIAL, C_SPECIAL
 
 
 def test_s_step_boundary_directions():
@@ -182,3 +183,96 @@ def test_rotation_estimate_within_bound_of_range(a, b, theta, steps):
     est = rotation_number(Params(a, b), (math.cos(theta), math.sin(theta)),
                           steps)
     assert -est.error_bound <= est.value <= 0.5 + est.error_bound
+
+
+# ------------------- chunked float kernel against the per-step loop -------------------
+
+def _reference_rotation_float(a, b, x, y, steps):
+    """The per-step float loop ``rotation_number`` ran before the chunked
+    walker: the oracle it must reproduce bit for bit."""
+    atan2 = math.atan2
+    two_pi = 2.0 * math.pi
+    half_pi = 0.5 * math.pi
+    three_half_pi = 1.5 * math.pi
+    prev = atan2(y, x)
+    total = 0.0
+    for _ in range(steps):
+        x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
+        ax = x if x >= 0.0 else -x
+        ay = y if y >= 0.0 else -y
+        m = ax if ax > ay else ay
+        if m > 1e150:
+            x *= 2.0 ** -512
+            y *= 2.0 ** -512
+        elif m < 1e-150:
+            x *= 2.0 ** 512
+            y *= 2.0 ** 512
+        t = atan2(y, x)
+        d = t - prev
+        if d < -half_pi:
+            d += two_pi
+        elif d >= three_half_pi:
+            d -= two_pi
+        total += d / two_pi
+        prev = t
+    return total / steps
+
+
+def _same_float(u, v):
+    return (math.isnan(u) and math.isnan(v)) or (
+        u == v and math.copysign(1.0, u) == math.copysign(1.0, v))
+
+
+_STEEP = 2.0 ** 399
+_kernel_slopes = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e120, 1e120),
+    st.sampled_from([0.0, -0.0, 1e-300, -5e-324, 3e5, 1e100, 1e110,
+                     math.nextafter(_STEEP, 0.0), -math.nextafter(_STEEP, 0.0),
+                     _STEEP, -_STEEP, 1e200]))
+_kernel_starts = st.one_of(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.tuples(st.sampled_from([0.0, -0.0, 1.0, 1e-300, -1e-300, 1e200]),
+              st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e200, -1e200])))
+
+
+@given(_kernel_slopes, _kernel_slopes, _kernel_starts,
+       st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]))
+def test_rotation_float_kernel_matches_per_step_loop(a, b, start, seam):
+    # steps at 1 and at the walker's chunk seams: chunk - 1, chunk,
+    # chunk + 1 and 2 * chunk + 1 (slopes no chunk covers take the
+    # per-step loop, and a short run of it will do)
+    chunks, offset = seam
+    chunk = rescale_chunk((a, b), ROTATION_BLOCK) or 3
+    steps = max(1, chunks * chunk + offset)
+    got = rotation_number(Params(a, b), start, steps).value
+    want = _reference_rotation_float(a, b, *start, steps)
+    assert _same_float(got, want), (a, b, start, steps, got, want)
+
+
+@pytest.mark.parametrize("a", [A_SPECIAL, B_SPECIAL, C_SPECIAL])
+@pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)])
+def test_rotation_special_points_bit_identical(a, start):
+    est = rotation_number(Params(a, -a), start, 200_000)
+    assert est.value == _reference_rotation_float(a, -a, *start, 200_000)
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, -1.2), (1.2, -math.inf),
+                                  (math.nan, 0.5), (0.5, math.nan),
+                                  (math.inf, math.inf)])
+@pytest.mark.parametrize("steps", [1, 5, ROTATION_BLOCK + 1])
+def test_rotation_non_finite_slopes(a, b, steps):
+    for start in ((1.0, 0.0), (-0.3, 0.8)):
+        got = rotation_number(Params(a, b), start, steps).value
+        assert _same_float(got, _reference_rotation_float(a, b, *start, steps))
+
+
+@pytest.mark.parametrize("steps", [ROTATION_BLOCK - 1, ROTATION_BLOCK,
+                                   ROTATION_BLOCK + 1, 3 * ROTATION_BLOCK + 7])
+@pytest.mark.parametrize("start", [(1.0, 0.0), (5e-324, 0.0), (1e-300, 1e-300),
+                                   (1e300, -1e300), (0.0, 0.0),
+                                   (math.inf, 0.0)])
+def test_rotation_block_seams_and_extreme_starts(steps, start):
+    a, b = 1.7, -0.4
+    got = rotation_number(Params(a, b), start, steps).value
+    assert _same_float(got, _reference_rotation_float(a, b, *start, steps))

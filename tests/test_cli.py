@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from pwlin import (Params, PlotSpec, build_invariant_circle,
+                   circle_to_polyline, emit_svg, orbit_relation)
 from pwlin.cli import cli
 
 from conftest import C_SPECIAL
@@ -55,6 +57,24 @@ def test_circle_subcommand(tmp_path, capsys):
     assert payload["conic_class"] == "ellipse"
     assert payload["schema_version"] == "v1"
     assert svg.read_text().startswith("<svg ")
+
+
+@pytest.mark.parametrize("orbit_len", ["20000", "25000", "7", "0", "-30"])
+def test_circle_svg_is_the_emit_svg_plot(tmp_path, capsys, orbit_len):
+    # the command plots the prefix of its residual walk; the SVG is the
+    # one emit_svg draws from a fresh iteration of (0, 1)
+    a = 2.0 ** 0.25
+    svg = tmp_path / "c.svg"
+    code = cli(["circle", "-a", repr(a), "-b", repr(-a), "--svg", str(svg),
+                "--json", str(tmp_path / "c.json"), "--orbit-len", orbit_len])
+    assert code == 0
+    params = Params(a, -a)
+    poly = circle_to_polyline(
+        build_invariant_circle(params, orbit_relation(params)))
+    want = tmp_path / "want.svg"
+    emit_svg(PlotSpec(params, (0.0, 1.0), min(int(orbit_len), 20000),
+                      str(want), overlay=poly))
+    assert svg.read_bytes() == want.read_bytes()
 
 
 def test_circle_divergent_family_fails(capsys):

@@ -16,6 +16,7 @@ from pwlin import (
     swap_conjugate,
     word_matrix,
 )
+from pwlin.core import GROWTH_BITS, rescale_chunk, step_factor, walk_chain
 from pwlin.errors import OrbitOverflowError
 
 
@@ -224,3 +225,81 @@ def test_extended_precision_backend():
         assert len(orbit) == 7 and len(word) == 6
         w = inverse_step(p, step(p, (mpmath.mpf("0.3"), mpmath.mpf("0.4"))))
         assert abs(w[0] - mpmath.mpf("0.3")) < mpmath.mpf(2) ** -150
+
+
+# ------------------- number types of the cocycle -------------------
+
+def test_word_matrix_fraction_stays_exact():
+    from fractions import Fraction
+
+    p = Params(Fraction(6, 5), Fraction(-3, 2))
+    for word in ("", "+", "+-+", "-+++-", "+-" * 9):
+        m = word_matrix(p, word)
+        entries = (m.m11, m.m12, m.m21, m.m22)
+        assert all(type(v) is Fraction for v in entries), (word, entries)
+        assert m.det() == 1
+    assert word_matrix(p, "+-+") == step_factor(p, "+") @ step_factor(
+        p, "-") @ step_factor(p, "+")
+    assert Mat2.identity(Fraction(1)) == Mat2(*(Fraction(v) for v in (1, 0, 0, 1)))
+
+
+def test_float_cocycle_seeds_unchanged():
+    m = step_factor(Params(1.7, -0.9), "-")
+    assert (m.m11, m.m12, m.m21, m.m22) == (-0.9, -1.0, 1.0, 0.0)
+    assert all(type(v) is float for v in (m.m12, m.m21, m.m22))
+    assert math.copysign(1.0, m.m22) == 1.0
+    ident = Mat2.identity()
+    assert (ident.m11, ident.m12, ident.m21, ident.m22) == (1.0, 0.0, 0.0, 1.0)
+    assert all(type(v) is float for v in (ident.m11, ident.m12))
+
+
+def _float_seeded_product(params, word):
+    """The generic product as it was seeded before, with float 1.0/0.0."""
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    for ch in word:
+        slope = params.a if ch == "+" else params.b
+        m11, m12, m21, m22 = (slope * m11 - m21, slope * m12 - m22, m11, m12)
+    return Mat2(m11, m12, m21, m22)
+
+
+def test_word_matrix_mpf_unchanged():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    with mpmath.workprec(113):
+        p = Params(mpmath.mpf("1.2"), mpmath.mpf("-1.3"))
+        for _ in range(20):
+            word = "".join(rng.choice("+-") for _ in range(rng.randrange(1, 60)))
+            got = word_matrix(p, word)
+            assert got == _float_seeded_product(p, word)
+            assert all(isinstance(v, mpmath.mpf)
+                       for v in (got.m11, got.m12, got.m21, got.m22))
+
+
+# ------------------- the unchecked chunk walker -------------------
+
+@given(st.floats(-2.0 ** 400, 2.0 ** 400), st.floats(-2.0 ** 400, 2.0 ** 400),
+       st.integers(1, 4096))
+def test_rescale_chunk_bound(a, b, cap):
+    chunk = rescale_chunk((a, b), cap)
+    if max(abs(a), abs(b)) >= 2.0 ** 399:
+        assert chunk == 0
+        return
+    growth = math.log2(max(abs(a), abs(b)) + 1.0)
+    assert 1 <= chunk <= cap
+    # (max|slope| + 1) ** chunk <= 2**GROWTH_BITS, up to the rounding of
+    # the division that picks the chunk
+    assert chunk * growth <= GROWTH_BITS * (1.0 + 1e-12)
+    assert chunk == cap or (chunk + 1) * max(growth, 1.0) > GROWTH_BITS
+
+
+@pytest.mark.parametrize("slopes", [(math.inf, 1.0), (1.0, -math.inf),
+                                    (math.nan, 0.5), (2.0 ** 399, 0.0),
+                                    (0.5, -2.0 ** 400)])
+def test_rescale_chunk_rejects(slopes):
+    assert rescale_chunk(slopes, 64) == 0
+
+
+def test_walk_chain_is_iterate(params_a12):
+    orbit, _ = iterate(params_a12, (0.37, -0.81), 50)
+    chain = walk_chain(params_a12.a, params_a12.b, 0.37, -0.81, 50)
+    assert list(zip(chain[1:], chain[:-1])) == orbit

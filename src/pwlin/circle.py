@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Params, Point, rescale_chunk, step, walk_chain
+from .core import (Params, Point, mpf_context, rescale_chunk, step,
+                   walk_chain, walk_mpf)
 from .errors import DegenerateError
 
 TWO_PI = 2.0 * math.pi
@@ -116,6 +117,23 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     That loop itself still runs where no chunk is safe (slopes not
     finite or of magnitude ``2**399`` and beyond, a zero or non-finite
     start) and for the first steps of a start outside that band.
+
+    Other inputs (mpmath floats, ``Fraction``) use the winding identity
+    instead of an angle per step.  Each step's lift increment lies in
+    (-pi/2, 3*pi/2) and the new point's y is the old point's x, so the
+    increment is the raw angle difference plus a full turn exactly at
+    the steps taken from a point with ``x < 0 <= y``, and never minus
+    one.  With ``W`` those steps (the ``+-`` pairs of the sign word,
+    plus one if it starts with ``-`` and ``y_0 >= 0``)::
+
+        value = (W + (atan2(y_N, x_N) - atan2(y_0, x_0)) / (2*pi)) / N
+
+    which takes two ``atan2`` calls instead of N.  It differs from
+    summing the N rounded increments by at most ``N * 2**(1 - prec)``.
+    Finite ``mpf`` inputs of one context are stepped on raw tuples by
+    :func:`walk_mpf` in blocks of ``ROTATION_BLOCK`` steps; the rest
+    take a duck-typed loop, and give nan when the orbit passes through
+    a non-finite point.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -124,22 +142,31 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     if mm is math:
         return _rotation_float(params, float(x), float(y), steps)
     a, b = params.a, params.b
-    two_pi = 2 * mm.pi
-    half_pi = mm.pi / 2
-    three_half_pi = 3 * half_pi
-    prev = mm.atan2(y, x)
-    total = prev * 0
-    for _ in range(steps):
-        x, y = (a * x - y, x) if x >= 0 else (b * x - y, x)
-        t = mm.atan2(y, x)
-        d = t - prev
-        if d < -half_pi:
-            d += two_pi
-        elif d >= three_half_pi:
-            d -= two_pi
-        total += d / two_pi
-        prev = t
-    value = total / steps
+    turns = 0
+    ctx = mpf_context(a, b, x, y)
+    if ctx is not None:
+        ra, rb, rx, ry = a._mpf_, b._mpf_, x._mpf_, y._mpf_
+        for lo in range(0, steps, ROTATION_BLOCK):
+            chain = walk_mpf(ra, rb, rx, ry, min(ROTATION_BLOCK, steps - lo),
+                             ctx._prec_rounding)
+            # steps from x < 0 <= y: x negative, y (the previous x) not
+            turns += sum(1 for v, u in zip(chain[1:-1], chain)
+                         if v[0] and not u[0])
+            ry, rx = chain[-2:]
+        x_n, y_n = ctx.make_mpf(rx), ctx.make_mpf(ry)
+    else:
+        x_n, y_n = x, y
+        finite = x - x == 0 and y - y == 0  # False for nan and +-inf
+        for _ in range(steps):
+            if x_n < 0 <= y_n:
+                turns += 1
+            x_n, y_n = ((a * x_n - y_n, x_n) if x_n >= 0
+                        else (b * x_n - y_n, x_n))
+            finite = finite and x_n - x_n == 0
+        if not finite:  # the identity needs every angle of the orbit
+            return RotationEstimate(mm.nan, steps, 1.0 / steps)
+    delta = mm.atan2(y_n, x_n) - mm.atan2(y, x)
+    value = (turns + delta / (2 * mm.pi)) / steps
     return RotationEstimate(value, steps, 1.0 / steps)
 
 

@@ -18,7 +18,7 @@ from .circle import rotation_number, snap_rational
 from .core import Params
 from .errors import PwlinError
 from .families import FamilyId, curve_find, verify_family
-from .output import PlotSpec, _write_svg, emit_orbit_csv, emit_svg
+from .output import PlotSpec, _write_svg, emit_orbit_csv
 from .returnmap import Ray, Sector, commutator_residual, orbit_relation, return_map
 from .scanner import scan
 
@@ -99,6 +99,8 @@ def _cmd_return_map(ns) -> int:
 
 
 def _cmd_circle(ns) -> int:
+    if ns.orbit_len < 1:  # a residual over no orbit points proves nothing
+        raise PwlinError(f"--orbit-len must be at least 1, got {ns.orbit_len}")
     params = Params(ns.a, ns.b)
     relation = orbit_relation(params, max_iter=ns.max_iter)
     if relation is None or relation.lam >= 0:
@@ -113,11 +115,8 @@ def _cmd_circle(ns) -> int:
     poly = circle_to_polyline(circle)
     svg_path = ns.svg or "circle.svg"
     json_path = ns.json or "circle.json"
-    plot = PlotSpec(params, (0.0, 1.0), plot_n, svg_path, overlay=poly)
-    if plot_n < 0:  # a negative --orbit-len plots the backward orbit
-        emit_svg(plot)
-    else:
-        _write_svg(plot, orbit)
+    _write_svg(PlotSpec(params, (0.0, 1.0), plot_n, svg_path, overlay=poly),
+               orbit)
     payload = {
         "schema_version": "v1",
         "a": params.a,

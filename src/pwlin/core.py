@@ -79,6 +79,18 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     itinerary of the traversed segment read in forward order, so
     ``word_matrix(word)`` always maps the last orbit point to the first.
 
+    Winding identity: the lift of the circle map adds a full turn to the
+    raw ``atan2`` difference exactly at the steps taken from a point
+    with ``x < 0 <= y``, that is, at the ``+-`` pairs of a forward word,
+    plus the first step when the word starts with ``-`` and
+    ``y_0 >= 0``.  So the angular advance over a forward run is that
+    count ``W`` of turns plus ``atan2(y_n, x_n) - atan2(y_0, x_0)``
+    (see :func:`pwlin.circle.rotation_number`).  A float start with a
+    ``-0.0`` component can shift ``W`` by one.
+
+    Forward runs from finite ``mpmath.mpf`` inputs of one context are
+    stepped by :func:`walk_mpf`, bit-identical to the loop below.
+
     Raises :class:`OrbitOverflowError` carrying the step index at which
     a component escaped.
     """
@@ -88,24 +100,74 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     orbit = [(x, y)]
     signs: list[str] = []
     if n >= 0:
+        ctx = mpf_context(a, b, x, y)
+        if ctx is not None:
+            chain = walk_mpf(a._mpf_, b._mpf_, x._mpf_, y._mpf_, n,
+                             ctx._prec_rounding, limit)
+            xs = [x, *map(ctx.make_mpf, chain[2:])]
+            orbit.extend(zip(xs[1:], xs))
+            return orbit, "".join([MINUS if v[0] else PLUS
+                                   for v in chain[1:-1]])
         for k in range(n):
             slope = a if x >= 0 else b
             signs.append(PLUS if x >= 0 else MINUS)
             x, y = slope * x - y, x
             if abs(x) > limit:
-                raise OrbitOverflowError(
-                    f"orbit escaped at step {k + 1}", index=k + 1)
+                raise _escaped(k + 1)
             orbit.append((x, y))
         return orbit, "".join(signs)
     for k in range(-n):
         slope = a if y >= 0 else b
         x, y = y, slope * y - x
         if abs(y) > limit:
-            raise OrbitOverflowError(
-                f"orbit escaped at step {k + 1}", index=k + 1)
+            raise _escaped(k + 1)
         orbit.append((x, y))
         signs.append(PLUS if x >= 0 else MINUS)
     return orbit, "".join(reversed(signs))
+
+
+def _escaped(k: int) -> OrbitOverflowError:
+    return OrbitOverflowError(f"orbit escaped at step {k}", index=k)
+
+
+def mpf_context(*values):
+    """The mpmath context of ``values`` when all are finite ``mpf`` of
+    that one context (the inputs :func:`walk_mpf` takes), else None.
+    The special values nan and +-inf have a negative bit count."""
+    ctx = getattr(values[0], "context", None)
+    mpf = getattr(ctx, "mpf", None)
+    if mpf is not None and all(type(v) is mpf and v._mpf_[3] >= 0
+                               for v in values):
+        return ctx
+    return None
+
+
+def walk_mpf(a, b, x, y, n: int, prec_rounding, limit=None) -> list:
+    """:func:`walk_chain` for finite mpmath floats, on raw ``_mpf_`` tuples.
+
+    ``a``, ``b``, ``x``, ``y`` are ``_mpf_`` tuples; each step is
+    ``mpf_sub(mpf_mul(slope, x), y)`` at ``prec_rounding`` (a context's
+    ``_prec_rounding``), which is what the ``mpf`` operators compute,
+    with the branch read off the sign field (mpf has no negative zero).
+    Returns the raw chain ``[y, x, x_1, ..., x_n]``.  With a ``limit``,
+    raises :class:`OrbitOverflowError` at the first step whose ``|x|``
+    exceeds it, as :func:`iterate` does.
+    """
+    from mpmath.libmp import from_float, mpf_abs, mpf_gt, mpf_mul, mpf_sub
+
+    prec, rnd = prec_rounding
+    # |x| < 2**(exp + bc), so only an x beyond these bits needs the test
+    bits = math.inf if limit is None else math.frexp(limit)[1] - 1
+    lim = None if limit is None else from_float(limit)
+    chain = [y, x]
+    push = chain.append
+    for k in range(n):
+        x, y = mpf_sub(mpf_mul(b if x[0] else a, x, prec, rnd), y,
+                       prec, rnd), x
+        push(x)
+        if x[2] + x[3] > bits and mpf_gt(mpf_abs(x), lim):
+            raise _escaped(k + 1)
+    return chain
 
 
 #: An orbit walked in unchecked chunks may grow by at most this many bits

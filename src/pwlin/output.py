@@ -18,17 +18,31 @@ def _fmt17(v) -> str:
     """Decimal with 17 significant digits (round-trips doubles)."""
     if isinstance(v, float):
         return f"{v:.17g}"
+    raw = getattr(v, "_mpf_", None)
+    if raw is not None:  # what mpmath.nstr(v, 17) returns for an mpf
+        from mpmath.libmp import to_str
+
+        return to_str(raw, 17)
     import mpmath
 
     return mpmath.nstr(v, 17)
 
 
 def emit_orbit_csv(params: Params, start: Point, n: int, path) -> None:
-    """Write the forward orbit as ``n,x,y`` rows (n + 2 lines total)."""
+    """Write the forward orbit as ``n,x,y`` rows (n + 2 lines total).
+
+    Each value is formatted once: a forward row's y is the previous
+    row's x (a backward row's x is the previous row's y).
+    """
     orbit, _ = iterate(params, start, n)
+    if n >= 0:
+        cells = list(map(_fmt17, [orbit[0][1], *(p[0] for p in orbit)]))
+        pairs = zip(cells[1:], cells)
+    else:
+        cells = list(map(_fmt17, [orbit[0][0], *(p[1] for p in orbit)]))
+        pairs = zip(cells, cells[1:])
     lines = ["n,x,y"]
-    lines.extend(
-        f"{i},{_fmt17(x)},{_fmt17(y)}" for i, (x, y) in enumerate(orbit))
+    lines.extend(f"{i},{x},{y}" for i, (x, y) in enumerate(pairs))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

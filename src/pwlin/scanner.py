@@ -24,7 +24,7 @@ import numpy as np
 from .circle import TWO_PI, RotationEstimate, rotation_number, snap_rational
 from .core import (OVERFLOW_LIMIT, Mat2, Params, Point, inverse_step,
                    rescale_chunk, step, word_matrix)
-from .errors import DomainError, OrbitOverflowError
+from .errors import DomainError, OrbitOverflowError, PwlinError
 
 
 class Verdict(enum.Enum):
@@ -137,6 +137,11 @@ def _norm_run(params: Params, forward: bool, budget: int, cap: float):
     return mx, mn, near
 
 
+#: Smallest step budget :func:`classify` accepts.
+MIN_BUDGET = 1000
+_BUDGET_ERROR = f"budget must be at least {MIN_BUDGET}"
+
+
 def classify(params: Params, budget: int = 100_000,
              config: ScanConfig = ScanConfig()) -> ClassRecord:
     """Classify one parameter pair.
@@ -148,8 +153,8 @@ def classify(params: Params, budget: int = 100_000,
     :class:`OrbitOverflowError` when the rotation estimate is not
     finite.
     """
-    if budget < 1000:
-        raise ValueError("budget must be at least 1000")
+    if budget < MIN_BUDGET:
+        raise ValueError(_BUDGET_ERROR)
     if not (math.isfinite(params.a) and math.isfinite(params.b)):
         raise DomainError(
             f"slopes must be finite, got a={params.a!r}, b={params.b!r}")
@@ -230,14 +235,15 @@ def scan(
     Cells are independent pure computations merged in a deterministic
     order, so the work can be sharded externally and re-merged by grid
     index.  ``half_plane`` keeps only cells with a >= b (the swap
-    conjugacy makes the rest redundant).  Per-cell failures are
-    recorded in the cell, not raised.
+    conjugacy makes the rest redundant).  Per-cell domain and
+    arithmetic failures (:class:`PwlinError`, :class:`ArithmeticError`)
+    are recorded in the cell, not raised; any other exception is a bug
+    and propagates.  A budget below ``MIN_BUDGET`` marks every cell.
 
     The orbits of all cells are walked together by one batched kernel.
     Cells it does not reproduce exactly (slopes that are not finite
     floats, or of magnitude 2**399 and beyond) go through
-    :func:`classify` one by one, as do all cells of a budget below
-    :func:`classify`'s floor.
+    :func:`classify` one by one.
     """
     if resolution < 0 or resolution > 2048:
         raise ValueError("resolution must be in [0, 2048]")
@@ -250,14 +256,15 @@ def scan(
             b = _grid_value(b_range, j, resolution)
             if not (half_plane and a < b):
                 cells.append(Params(a, b))
+    if budget < MIN_BUDGET:  # classify would reject every cell
+        return [_failed_cell(params, budget, _BUDGET_ERROR) for params in cells]
     stats = {}
-    if budget >= 1000:  # below it, classify fails every cell
-        batch = [k for k, params in enumerate(cells)
-                 if rescale_chunk((params.a, params.b), _CHUNK)]
-        for lo in range(0, len(batch), _BLOCK):
-            block = batch[lo:lo + _BLOCK]
-            stats.update(zip(block, _orbit_stats(
-                [cells[k] for k in block], budget, config.divergence_ratio)))
+    batch = [k for k, params in enumerate(cells)
+             if rescale_chunk((params.a, params.b), _CHUNK)]
+    for lo in range(0, len(batch), _BLOCK):
+        block = batch[lo:lo + _BLOCK]
+        stats.update(zip(block, _orbit_stats(
+            [cells[k] for k in block], budget, config.divergence_ratio)))
     out: list[ClassRecord] = []
     for k, params in enumerate(cells):
         try:
@@ -265,11 +272,14 @@ def scan(
                 out.append(_decide(params, *stats[k], config))
             else:
                 out.append(classify(params, budget, config))
-        except Exception as exc:  # per-cell marker, keep scanning
-            est = RotationEstimate(math.nan, budget, 1.0 / budget)
-            out.append(ClassRecord(params, est, Verdict.UNDETERMINED,
-                                   error=str(exc)))
+        except (PwlinError, ArithmeticError) as exc:  # per-cell marker
+            out.append(_failed_cell(params, budget, str(exc)))
     return out
+
+
+def _failed_cell(params: Params, budget: int, error: str) -> ClassRecord:
+    est = RotationEstimate(math.nan, budget, 1.0 / budget)
+    return ClassRecord(params, est, Verdict.UNDETERMINED, error=error)
 
 
 # Lanes are rescaled every _CHUNK steps at most, fewer where the slopes

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,3 +277,164 @@ def test_rotation_block_seams_and_extreme_starts(steps, start):
     a, b = 1.7, -0.4
     got = rotation_number(Params(a, b), start, steps).value
     assert _same_float(got, _reference_rotation_float(a, b, *start, steps))
+
+
+# ------------------- extended precision: the winding identity -------------------
+
+def _reference_rotation_mp(a, b, x, y, checkpoints):
+    """The per-step mpmath loop ``rotation_number`` ran before the
+    winding identity, with its wrap count kept: (value, wraps) after
+    each of ``checkpoints`` steps, from one walk."""
+    mm = mpmath
+    two_pi = 2 * mm.pi
+    half_pi = mm.pi / 2
+    three_half_pi = 3 * half_pi
+    prev = mm.atan2(y, x)
+    total = prev * 0
+    wraps = 0
+    out = {}
+    for k in range(1, max(checkpoints) + 1):
+        x, y = (a * x - y, x) if x >= 0 else (b * x - y, x)
+        t = mm.atan2(y, x)
+        d = t - prev
+        if d < -half_pi:
+            d += two_pi
+            wraps += 1
+        elif d >= three_half_pi:
+            d -= two_pi
+            wraps -= 1
+        total += d / two_pi
+        prev = t
+        if k in checkpoints:
+            out[k] = (total / k, wraps)
+    return out
+
+
+def _winding_from_word(word, y0):
+    """Steps from x < 0 <= y, read off the sign word."""
+    return word.count("+-") + (word[:1] == "-" and y0 >= 0)
+
+
+def _pool_like_points():
+    from pwlin import FamilyId, family_b
+
+    rng = random.Random(7)
+    out = []
+    for fam, lo, hi in ((FamilyId.EX_A, 1.02, 1.40), (FamilyId.EX_B, 0.02, 0.98)):
+        for i in range(10):
+            a = round(lo + (hi - lo) * (i + rng.random()) / 10, 6)
+            out.append((a, family_b(fam, a)))
+    return out
+
+
+_MP_POINTS = ([(v, -v) for v in (A_SPECIAL, B_SPECIAL, C_SPECIAL)]
+              + [(0.0, 0.0)] + _pool_like_points())
+_MP_STEPS = (1, 2, 3, 4, 1000, 10_000)
+
+
+@pytest.mark.parametrize("prec", [113, 200])
+@pytest.mark.parametrize("a, b", _MP_POINTS)
+def test_rotation_mp_winding_identity(prec, a, b):
+    from pwlin.core import walk_mpf
+
+    before = mpmath.mp.prec
+    with mpmath.workprec(prec):
+        mpf = mpmath.mpf
+        params = Params(mpf(a), mpf(b))
+        u0 = (mpf(1), mpf(0))
+        want = _reference_rotation_mp(params.a, params.b, *u0, _MP_STEPS)
+        chain = walk_mpf(params.a._mpf_, params.b._mpf_, u0[0]._mpf_,
+                         u0[1]._mpf_, max(_MP_STEPS),
+                         mpmath.mp._prec_rounding)
+        for n in _MP_STEPS:
+            old, wraps = want[n]
+            word = "".join("-" if v[0] else "+" for v in chain[1:n + 1])
+            assert _winding_from_word(word, u0[1]) == wraps, n
+            est = rotation_number(params, u0, n)
+            assert isinstance(est.value, mpmath.mpf)
+            assert abs(est.value - old) <= n * mpf(2) ** (1 - prec), n
+            old_est = RotationEstimate(old, n, 1.0 / n)
+            assert snap_rational(est, 256) == snap_rational(old_est, 256)
+            assert mpmath.mp.prec == prec
+    assert mpmath.mp.prec == before
+
+
+@pytest.mark.parametrize("start", [
+    (Fraction(1), Fraction(0)), (Fraction(-1, 3), Fraction(2, 7))])
+def test_rotation_fraction_takes_generic_loop(monkeypatch, start):
+    import pwlin.circle as circle_mod
+
+    def no_walker(*args):
+        raise AssertionError("the mpf walker ran")
+
+    monkeypatch.setattr(circle_mod, "walk_mpf", no_walker)
+    params = Params(Fraction(6, 5), Fraction(-3, 2))
+    steps = (1, 2, 5, 40)
+    want = _reference_rotation_mp(params.a, params.b, *start, steps)
+    for n in steps:
+        got = rotation_number(params, start, n).value
+        assert abs(got - want[n][0]) <= n * 2.0 ** (1 - mpmath.mp.prec)
+
+
+@pytest.mark.parametrize("start", [("nan", "0"), ("0", "nan"), ("inf", "0"),
+                                   ("-inf", "0"), ("1", "-inf"), ("1", "0")])
+@pytest.mark.parametrize("slopes", [("1", "-1"), ("0", "2"), ("3", "inf"),
+                                    ("inf", "-1"), ("nan", "-1")])
+def test_rotation_non_finite_mpf_takes_generic_loop(monkeypatch, start, slopes):
+    # nan when the orbit passes through a non-finite point; otherwise
+    # (slope 3 keeps the orbit of (1, 0) off the inf slope) the estimate
+    import pwlin.circle as circle_mod
+
+    def no_walker(*args):
+        raise AssertionError("the mpf walker ran")
+
+    monkeypatch.setattr(circle_mod, "walk_mpf", no_walker)
+    mpf = mpmath.mpf
+    params = Params(*map(mpf, slopes))
+    u0 = tuple(map(mpf, start))
+    if all(map(mpmath.isfinite, u0 + (params.a, params.b))):
+        return  # finite inputs take the walker
+    want = _reference_rotation_mp(params.a, params.b, *u0, (1, 2, 3))
+    x, y = u0
+    finite = mpmath.isfinite(x) and mpmath.isfinite(y)
+    for n in (1, 2, 3):
+        x, y = (params.a * x - y, x) if x >= 0 else (params.b * x - y, x)
+        finite = finite and mpmath.isfinite(x)
+        got = rotation_number(params, u0, n).value
+        if finite:
+            assert abs(got - want[n][0]) <= n * mpf(2) ** (1 - mpmath.mp.prec)
+        else:
+            assert mpmath.isnan(got)
+
+
+def _float_winding_value(params, u0, steps):
+    """(W + (atan2(y_N, x_N) - atan2(y_0, x_0)) / 2*pi) / N from the
+    float sign word of ``iterate``; None when the orbit overflows."""
+    from pwlin import iterate
+    from pwlin.errors import OrbitOverflowError
+
+    try:
+        orbit, word = iterate(params, u0, steps)
+    except OrbitOverflowError:
+        return None
+    (x0, y0), (xn, yn) = orbit[0], orbit[-1]
+    delta = math.atan2(yn, xn) - math.atan2(y0, x0)
+    return (_winding_from_word(word, y0) + delta / (2 * math.pi)) / steps
+
+
+_no_neg_zero = st.one_of(st.just(0.0), st.floats(1e-6, 1e6),
+                         st.floats(-1e6, -1e-6))
+
+
+@given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+       st.tuples(_no_neg_zero, _no_neg_zero).filter(lambda p: p != (0.0, 0.0)),
+       st.integers(1, 2000))
+def test_rotation_float_winding_identity(a, b, start, steps):
+    # an oracle for the float path that does not share its code: the
+    # winding count of iterate's sign word and two angles (a -0.0 start
+    # component can shift the count by one step, so none is drawn)
+    want = _float_winding_value(Params(a, b), start, steps)
+    if want is None:
+        return
+    got = rotation_number(Params(a, b), start, steps).value
+    assert abs(got - want) <= 1e-12, (a, b, start, steps, got, want)

@@ -59,7 +59,7 @@ def test_circle_subcommand(tmp_path, capsys):
     assert svg.read_text().startswith("<svg ")
 
 
-@pytest.mark.parametrize("orbit_len", ["20000", "25000", "7", "0", "-30"])
+@pytest.mark.parametrize("orbit_len", ["20000", "25000", "7"])
 def test_circle_svg_is_the_emit_svg_plot(tmp_path, capsys, orbit_len):
     # the command plots the prefix of its residual walk; the SVG is the
     # one emit_svg draws from a fresh iteration of (0, 1)
@@ -75,6 +75,18 @@ def test_circle_svg_is_the_emit_svg_plot(tmp_path, capsys, orbit_len):
     emit_svg(PlotSpec(params, (0.0, 1.0), min(int(orbit_len), 20000),
                       str(want), overlay=poly))
     assert svg.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("orbit_len", ["0", "-30"])
+def test_circle_rejects_empty_orbit(tmp_path, capsys, orbit_len):
+    # a residual over no orbit points proves nothing: a usage error
+    a = 2.0 ** 0.25
+    code = cli(["circle", "-a", repr(a), "-b", repr(-a),
+                "--svg", str(tmp_path / "c.svg"),
+                "--json", str(tmp_path / "c.json"), "--orbit-len", orbit_len])
+    assert code == 1
+    assert "--orbit-len must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_circle_divergent_family_fails(capsys):

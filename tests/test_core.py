@@ -303,3 +303,88 @@ def test_walk_chain_is_iterate(params_a12):
     orbit, _ = iterate(params_a12, (0.37, -0.81), 50)
     chain = walk_chain(params_a12.a, params_a12.b, 0.37, -0.81, 50)
     assert list(zip(chain[1:], chain[:-1])) == orbit
+
+
+# ------------------- the extended-precision walker -------------------
+
+def _reference_iterate_forward(params, p0, n):
+    """The duck-typed forward loop of ``iterate``: the oracle the mpf
+    walker must reproduce point for point."""
+    a, b = params.a, params.b
+    x, y = p0
+    orbit = [(x, y)]
+    signs = []
+    for k in range(n):
+        slope = a if x >= 0 else b
+        signs.append("+" if x >= 0 else "-")
+        x, y = slope * x - y, x
+        if abs(x) > 1e300:
+            raise OrbitOverflowError(
+                f"orbit escaped at step {k + 1}", index=k + 1)
+        orbit.append((x, y))
+    return orbit, "".join(signs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrbitOverflowError as exc:
+        return ("overflow", str(exc), exc.index)
+
+
+@pytest.mark.parametrize("prec", [113, 200])
+@pytest.mark.parametrize("slopes, start, n", [
+    (("1.189207115002721", "-1.189207115002721"), ("0", "1"), 4000),
+    (("0.6", "-1.7"), ("0.3", "-0.4"), 500),
+    (("0", "0"), ("1", "0"), 9),
+    (("1.2", "-1.3"), ("0", "-1"), 0),
+    (("3", "3"), ("1", "0"), 2000),  # escapes near step 720
+    (("-3", "-2.5"), ("1e-30", "1e-30"), 2000),
+    (("1", "1"), ("1.2e300", "0"), 3),  # escapes just above the limit
+    (("1", "1"), ("-1.2e300", "0"), 3),  # and below minus the limit
+    (("1", "1"), ("1e300", "0"), 3),  # at the limit: no escape
+])
+def test_iterate_mpf_walker_matches_generic_loop(prec, slopes, start, n):
+    mpmath = pytest.importorskip("mpmath")
+    before = mpmath.mp.prec
+    with mpmath.workprec(prec):
+        params = Params(*map(mpmath.mpf, slopes))
+        p0 = tuple(map(mpmath.mpf, start))
+        got = _outcome(iterate, params, p0, n)
+        want = _outcome(_reference_iterate_forward, params, p0, n)
+        assert got == want
+        if got[0] == "overflow":
+            # the escape at the very last step is an escape too
+            assert (_outcome(iterate, params, p0, got[2])
+                    == _outcome(_reference_iterate_forward, params, p0,
+                                got[2]))
+            assert _outcome(iterate, params, p0, got[2] - 1)[0] != "overflow"
+        else:
+            assert all(type(v) is mpmath.mpf for p in got[0] for v in p)
+        assert mpmath.mp.prec == prec
+    assert mpmath.mp.prec == before
+
+
+def test_iterate_generic_types_skip_the_walker(monkeypatch):
+    from fractions import Fraction
+
+    import pwlin.core as core_mod
+
+    mpmath = pytest.importorskip("mpmath")
+
+    def no_walker(*args):
+        raise AssertionError("the mpf walker ran")
+
+    monkeypatch.setattr(core_mod, "walk_mpf", no_walker)
+    mpf = mpmath.mpf
+    cases = [
+        (Params(Fraction(6, 5), Fraction(-3, 2)), (Fraction(0), Fraction(1))),
+        (Params(mpf(1), mpf(-1)), (mpf("nan"), mpf(0))),
+        (Params(mpf(1), mpf(-1)), (mpf(0), mpf("inf"))),
+        (Params(mpf("inf"), mpf(-1)), (mpf(-1), mpf(0))),
+        (Params(mpf("1.2"), mpf("-1.3")), (0.0, 1.0)),  # mixed types
+    ]
+    for params, p0 in cases:
+        got = _outcome(iterate, params, p0, 12)
+        want = _outcome(_reference_iterate_forward, params, p0, 12)
+        assert repr(got) == repr(want)  # nan-aware

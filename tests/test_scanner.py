@@ -18,6 +18,8 @@ from pwlin import (
     scan,
 )
 
+from pwlin.errors import PwlinError
+
 from conftest import C_SPECIAL
 
 
@@ -70,14 +72,15 @@ def test_scan_resolution_cap():
 
 
 def test_scan_records_per_cell_errors(monkeypatch):
-    # a failing cell is marked and the scan continues
+    # a cell failing with a domain error is marked and the scan continues
     import pwlin.scanner as scanner_mod
+    from pwlin.errors import DomainError
 
     original = scanner_mod._decide
 
     def flaky(params, est, stats, config):
         if params == Params(0.0, 0.0):
-            raise RuntimeError("synthetic cell failure")
+            raise DomainError("synthetic cell failure")
         return original(params, est, stats, config)
 
     monkeypatch.setattr(scanner_mod, "_decide", flaky)
@@ -89,11 +92,23 @@ def test_scan_records_per_cell_errors(monkeypatch):
     assert "synthetic" in failed[0].error
 
 
+def test_scan_propagates_programming_errors(monkeypatch):
+    # only domain and arithmetic errors become cell markers; a bug raises
+    import pwlin.scanner as scanner_mod
+
+    def broken(params, est, stats, config):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(scanner_mod, "_decide", broken)
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        scanner_mod.scan((0.0, 1.0), (0.0, 1.0), 2, budget=1500)
+
+
 def _classify_cell(params, budget, config):
     """Per-cell reference: scalar classify with scan's error marker."""
     try:
         return classify(params, budget, config).to_dict()
-    except Exception as exc:
+    except (PwlinError, ArithmeticError) as exc:
         est = RotationEstimate(math.nan, budget, 1.0 / budget)
         return ClassRecord(params, est, Verdict.UNDETERMINED,
                            error=str(exc)).to_dict()
@@ -189,6 +204,40 @@ def test_scan_swap_symmetry():
                  for r in records}
     for (a, b), verdict in by_params.items():
         assert by_params[(b, a)] == verdict
+
+
+def _reference_orbit_csv(params, start, n, path):
+    """The orbit CSV emitter before it formatted each value once."""
+    import mpmath
+
+    def fmt17(v):
+        return f"{v:.17g}" if isinstance(v, float) else mpmath.nstr(v, 17)
+
+    orbit, _ = iterate(params, start, n)
+    lines = ["n,x,y"]
+    lines.extend(f"{i},{fmt17(x)},{fmt17(y)}" for i, (x, y) in enumerate(orbit))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("prec", [None, 113, 200])
+@pytest.mark.parametrize("slopes, start, n", [
+    ((1.189207115002721, -1.189207115002721), (0.0, 1.0), 4000),
+    ((1.2, -0.5), (0.3, 0.4), 5),
+    ((0.7, -1.9), (-2.5, 1e-7), 0),
+    ((1.2, -1.3), (0.0, -1.0), -40),  # backward rows
+])
+def test_orbit_csv_matches_per_value_emitter(tmp_path, prec, slopes, start, n):
+    mpmath = pytest.importorskip("mpmath")
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    with mpmath.workprec(prec or mpmath.mp.prec):
+        conv = float if prec is None else mpmath.mpf
+        params = Params(*map(conv, slopes))
+        p0 = tuple(map(conv, start))
+        emit_orbit_csv(params, p0, n, got)
+        _reference_orbit_csv(params, p0, n, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == abs(n) + 2
 
 
 def test_orbit_csv_row_count(tmp_path):

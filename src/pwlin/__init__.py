@@ -46,7 +46,7 @@ from .families import (
     family_params,
     verify_family,
 )
-from .output import PlotSpec, emit_orbit_csv, emit_svg
+from .output import PlotSpec, emit_orbit_csv, emit_scan_csv, emit_svg
 from .returnmap import (
     OrbitRelation,
     Ray,
@@ -96,6 +96,7 @@ __all__ = [
     "distinguished_set",
     "eigenrays",
     "emit_orbit_csv",
+    "emit_scan_csv",
     "emit_svg",
     "errors",
     "family_b",

@@ -27,6 +27,7 @@ from .conics import (
 )
 from .core import OVERFLOW_LIMIT, Params, Point, walk_chain
 from .errors import (
+    ArgumentError,
     AsymptoteInSectorError,
     CommutationError,
     InconsistentPieceError,
@@ -92,7 +93,7 @@ def build_invariant_circle(
     suspected periodic and the result is withheld as uncertifiable.
     """
     if relation.lam >= 0:
-        raise ValueError("invariant-circle construction needs lam = -1")
+        raise ArgumentError("invariant-circle construction needs lam = -1")
 
     est = rotation_number(params, (1.0, 0.0), snap_check_steps)
     periodic_suspect = snap_rational(est, PERIODIC_Q_MAX)
@@ -109,6 +110,8 @@ def build_invariant_circle(
             arcs.append(_sector_arc(params, sector, points[i], rays,
                                     n_samples, budget))
             classes.add(arcs[-1].conic_class)
+        except ArgumentError:  # a bad argument, not a property of the sector
+            raise
         except PwlinError as exc:
             arcs.append(None)
             failures.append(exc)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import (Params, Point, mpf_context, rescale_chunk, step,
                    walk_chain, walk_mpf)
-from .errors import DegenerateError
+from .errors import ArgumentError, DegenerateError
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,7 +136,7 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     a non-finite point.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ArgumentError("steps must be >= 1")
     x, y = u0
     mm = _backend(x, y, params.a, params.b)
     if mm is math:
@@ -279,7 +279,7 @@ def snap_rational(est: RotationEstimate, q_max: int) -> Fraction | None:
     A snap is only a candidate; periodicity needs the matrix test.
     """
     if q_max < 1:
-        raise ValueError("q_max must be >= 1")
+        raise ArgumentError("q_max must be >= 1")
     value = float(est.value)
     tol = 2.0 * est.error_bound
     for frac in convergents(value, q_max):

@@ -18,7 +18,7 @@ from .circle import rotation_number, snap_rational
 from .core import Params
 from .errors import PwlinError
 from .families import FamilyId, curve_find, verify_family
-from .output import PlotSpec, _write_svg, emit_orbit_csv
+from .output import PlotSpec, _write_svg, emit_orbit_csv, emit_scan_csv
 from .returnmap import Ray, Sector, commutator_residual, orbit_relation, return_map
 from .scanner import scan
 
@@ -64,6 +64,8 @@ def _mp_scope(params: Params, point):
 
 
 def _cmd_orbit(ns) -> int:
+    if ns.n < 0:  # the CSV rows are numbered forward
+        raise PwlinError(f"-n must be at least 0, got {ns.n}")
     with _mp_scope(Params(ns.a, ns.b), (ns.x, ns.y)) as (params, start):
         emit_orbit_csv(params, start, ns.n, ns.out)
         print(f"wrote {ns.out}")
@@ -165,33 +167,16 @@ def _cmd_verify_example(ns) -> int:
 def _cmd_scan(ns) -> int:
     records = scan((ns.a_min, ns.a_max), (ns.b_min, ns.b_max),
                    ns.resolution, ns.budget, half_plane=ns.half_plane)
-    rows = [r.to_dict() for r in records]
     if ns.out.endswith(".json"):
         with open(ns.out, "w", newline="") as fh:
-            json.dump({"schema_version": "v1", "records": rows}, fh,
+            json.dump({"schema_version": "v1",
+                       "records": [r.to_dict() for r in records]}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        cols = ["a", "b", "rotation_value", "rotation_steps",
-                "rotation_error_bound", "rotation_snap_p", "rotation_snap_q",
-                "verdict", "periodic_q", "norm_growth",
-                "near_return_residual", "period_matrix_residual",
-                "radius_ratio", "error"]
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in cols))
-        with open(ns.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    print(f"wrote {ns.out} ({len(rows)} records)")
+        emit_scan_csv(records, ns.out)
+    print(f"wrote {ns.out} ({len(records)} records)")
     return 0
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def _slice_function(text: str):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .circle import TWO_PI
 from .core import Mat2, Point
-from .errors import AsymptoteInSectorError, DegenerateError, DegenerateMatrixError
+from .errors import (ArgumentError, AsymptoteInSectorError, DegenerateError,
+                     DegenerateMatrixError)
 from .returnmap import Ray, Sector
 
 #: Default tolerance for the |trace| = 2 boundary.
@@ -101,12 +102,6 @@ def conic_class_of_trace(trace: float, tol: float = TRACE_TOL) -> ConicClass:
     if t > 2.0 + tol:
         return ConicClass.HYPERBOLA
     return ConicClass.PARALLEL_LINES
-
-
-def classify(m: Mat2, tol: float = TRACE_TOL) -> ConicClass:
-    """Conic class of the invariant level sets of m."""
-    invariant_form(m)  # raise on +-I / non-unimodular input
-    return conic_class_of_trace(m.trace(), tol)
 
 
 def level_through(form: QuadraticForm, p: Point) -> float:
@@ -250,7 +245,7 @@ def arc_in_sector(
     inside the sector: the restricted level set is unbounded there.
     """
     if n_samples < 2:
-        raise ValueError("need at least two samples")
+        raise ArgumentError("need at least two samples")
     scale = max(1.0, abs(level))
     if abs(form(anchor) - level) > 1e-9 * scale:
         raise DegenerateError("anchor does not lie on the level set")

@@ -6,6 +6,15 @@ class PwlinError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class ArgumentError(PwlinError, ValueError):
+    """An argument is outside the range the function accepts (a step
+    count below 1, a grid above the size cap, and the like).
+
+    It is also a ``ValueError``, so ``except ValueError`` callers keep
+    catching it.
+    """
+
+
 class OrbitOverflowError(PwlinError, OverflowError):
     """An orbit component exceeded the overflow limit.
 

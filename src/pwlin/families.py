@@ -21,6 +21,7 @@ from .circle import angle_of, rotation_number
 from .conics import ConicClass, conic_class_of_trace
 from .core import Mat2, Params, inverse_step, iterate, step
 from .errors import (
+    ArgumentError,
     DomainError,
     NoBracketError,
     OrbitOverflowError,
@@ -527,7 +528,7 @@ def curve_find(
     confirmed by the generic axis scan before returning.
     """
     if k == 0:
-        raise ValueError("k must be nonzero")
+        raise ArgumentError("k must be nonzero")
 
     def objective(t: float) -> tuple[float, float]:
         a, b = slice_fn(t)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, Point, iterate
-from .errors import OrbitOverflowError
+from .errors import ArgumentError, OrbitOverflowError
 
 
 def _fmt17(v) -> str:
@@ -47,6 +47,32 @@ def emit_orbit_csv(params: Params, start: Point, n: int, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_SCAN_COLUMNS = ("a", "b", "rotation_value", "rotation_steps",
+                 "rotation_error_bound", "rotation_snap_p", "rotation_snap_q",
+                 "verdict", "periodic_q", "norm_growth",
+                 "near_return_residual", "period_matrix_residual",
+                 "radius_ratio", "error")
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    return _fmt17(v) if isinstance(v, float) else str(v)
+
+
+def emit_scan_csv(records, path) -> None:
+    """Write scan records (``ClassRecord``) as CSV, one row per cell.
+
+    Floats carry 17 significant digits; absent values are empty cells.
+    """
+    lines = [",".join(_SCAN_COLUMNS)]
+    for rec in records:
+        row = rec.to_dict()
+        lines.append(",".join(_csv_cell(row[c]) for c in _SCAN_COLUMNS))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @dataclass(frozen=True)
 class PlotSpec:
     """What to draw: an orbit, and optionally a certified-circle overlay."""
@@ -60,7 +86,7 @@ class PlotSpec:
 
     def __post_init__(self):
         if self.n > 10_000_000:
-            raise ValueError("iteration count capped at 1e7")
+            raise ArgumentError("iteration count capped at 1e7")
 
 
 def _orbit_points(spec: PlotSpec) -> list[Point]:

@@ -22,6 +22,7 @@ from .core import (
     word_matrix,
 )
 from .errors import (
+    ArgumentError,
     DegenerateError,
     InconsistentPieceError,
     NoReturnError,
@@ -380,7 +381,7 @@ def distinguished_set(params: Params, relation: OrbitRelation) -> list[Point]:
     the list starts at the smallest angle in [0, 2*pi).
     """
     if relation.lam >= 0:
-        raise ValueError("distinguished set needs the lam = -1 relation")
+        raise ArgumentError("distinguished set needs the lam = -1 relation")
     start = (0.0, 1.0) if relation.n > 0 else (0.0, -1.0)
     orbit, _ = iterate(params, start, relation.index)
     points = orbit[1:]

@@ -24,7 +24,7 @@ import numpy as np
 from .circle import TWO_PI, RotationEstimate, rotation_number, snap_rational
 from .core import (OVERFLOW_LIMIT, Mat2, Params, Point, inverse_step,
                    rescale_chunk, step, word_matrix)
-from .errors import DomainError, OrbitOverflowError, PwlinError
+from .errors import ArgumentError, DomainError, OrbitOverflowError, PwlinError
 
 
 class Verdict(enum.Enum):
@@ -154,7 +154,7 @@ def classify(params: Params, budget: int = 100_000,
     finite.
     """
     if budget < MIN_BUDGET:
-        raise ValueError(_BUDGET_ERROR)
+        raise ArgumentError(_BUDGET_ERROR)
     if not (math.isfinite(params.a) and math.isfinite(params.b)):
         raise DomainError(
             f"slopes must be finite, got a={params.a!r}, b={params.b!r}")
@@ -237,8 +237,9 @@ def scan(
     index.  ``half_plane`` keeps only cells with a >= b (the swap
     conjugacy makes the rest redundant).  Per-cell domain and
     arithmetic failures (:class:`PwlinError`, :class:`ArithmeticError`)
-    are recorded in the cell, not raised; any other exception is a bug
-    and propagates.  A budget below ``MIN_BUDGET`` marks every cell.
+    are recorded in the cell, not raised; an :class:`ArgumentError`
+    (such as a ``config`` out of range) and any other exception
+    propagate.  A budget below ``MIN_BUDGET`` marks every cell.
 
     The orbits of all cells are walked together by one batched kernel.
     Cells it does not reproduce exactly (slopes that are not finite
@@ -246,7 +247,7 @@ def scan(
     :func:`classify` one by one.
     """
     if resolution < 0 or resolution > 2048:
-        raise ValueError("resolution must be in [0, 2048]")
+        raise ArgumentError("resolution must be in [0, 2048]")
     if resolution == 0:
         return []
     cells = []
@@ -272,6 +273,8 @@ def scan(
                 out.append(_decide(params, *stats[k], config))
             else:
                 out.append(classify(params, budget, config))
+        except ArgumentError:  # a bad argument or config, not a cell property
+            raise
         except (PwlinError, ArithmeticError) as exc:  # per-cell marker
             out.append(_failed_cell(params, budget, str(exc)))
     return out
@@ -283,9 +286,10 @@ def _failed_cell(params: Params, budget: int, error: str) -> ClassRecord:
 
 
 # Lanes are rescaled every _CHUNK steps at most, fewer where the slopes
-# are steep (see rescale_chunk).
-_CHUNK = 64
-_BLOCK = 4096  # cells per kernel call, bounding the buffers
+# are steep (see rescale_chunk).  _BLOCK * _CHUNK = 2**18 bounds the
+# (chunk, lanes) buffers of one kernel call.
+_CHUNK = 128
+_BLOCK = 2048  # cells per kernel call
 
 
 def _orbit_stats(cells: list[Params], budget: int,
@@ -300,8 +304,20 @@ def _orbit_stats(cells: list[Params], budget: int,
     swapped (``inverse_step`` is ``step`` conjugated by the swap), so
     the (1, 0) lanes give both the rotation sum and the backward norm
     run.  Each step stores the new x into a chunk buffer; the previous
-    row is y.  Per chunk, angles and norms are reduced in the order of
-    the scalar loops, and lanes are rescaled by exact powers of two.
+    row is y.  Per chunk, angles are summed in the order of the scalar
+    loop, and lanes are rescaled by exact powers of two.
+
+    The norm runs work in buffer scale: a live lane compares its
+    chunk's largest norm and |x| with ``cap`` and ``OVERFLOW_LIMIT``
+    scaled by its own ``2**-expo``, and only its chunk max and min are
+    scaled back.  The comparison is exact: expo is 0 in the first chunk,
+    and after it a live lane's ``2**expo`` is at most twice values it
+    has seen below both limits, so the scaled limits are normal floats
+    (or inf where the true ones are beyond any buffer value).  Scaling
+    by a power of two is monotone, so it commutes with max and min bit
+    for bit.
+    Lanes that stop inside a chunk are cut at their stopping row; the
+    rest take whole-chunk extremes from :func:`_norm_extremes`.
     """
     n = len(cells)
     a = np.array([c.a for c in cells], dtype=float)
@@ -315,16 +331,16 @@ def _orbit_stats(cells: list[Params], budget: int,
     y = np.repeat([0.0, 1.0], n)
     expo = np.zeros(2 * n, dtype=np.int64)  # true lane = buffer * 2**expo
     nonneg = np.empty(2 * n, dtype=bool)
+    row_no = np.arange(chunk)[:, None]
 
     two_pi, half_pi, three_half_pi = TWO_PI, 0.5 * math.pi, 1.5 * math.pi
-    prev = np.zeros(n)  # angle of (1, 0)
+    angle = np.zeros((chunk + 1, n))  # row 0: the last angle so far
     turns = np.zeros((chunk + 1, n))  # row 0 carries the running total
 
     # norm runs: running max/min ratio and axis proximity, frozen per
     # lane at the first ratio above cap or the first overflow
     mx, mn, near = np.ones(2 * n), np.ones(2 * n), np.full(2 * n, math.inf)
     live = np.ones(2 * n, dtype=bool)
-    lanes = np.arange(2 * n)
 
     done = 0
     while done < budget:
@@ -337,37 +353,49 @@ def _orbit_stats(cells: list[Params], budget: int,
             x, y = row, x
         xs, ys = buf[1:m + 1], buf[:m]
 
-        t = np.arctan2(ys[:, :n], xs[:, :n])
-        d = np.diff(t, axis=0, prepend=prev[None])
-        d = np.where(d < -half_pi, d + two_pi,
-                     np.where(d >= three_half_pi, d - two_pi, d))
+        t = angle[:m + 1]
+        np.arctan2(ys[:, :n], xs[:, :n], out=t[1:])
         acc = turns[:m + 1]
-        np.divide(d, two_pi, out=acc[1:])
+        d = np.subtract(t[1:], t[:-1], out=acc[1:])
+        # both masks from the unwrapped d: d + 2pi can round to 3pi/2
+        wrap_up, wrap_down = d < -half_pi, d >= three_half_pi
+        np.add(d, two_pi, out=d, where=wrap_up)
+        np.subtract(d, two_pi, out=d, where=wrap_down)
+        np.divide(d, two_pi, out=d)
         np.add.accumulate(acc, axis=0, out=acc)
         acc[0] = acc[m]
-        prev = t[m - 1]
+        t[0] = t[m]
 
-        if live.any():
+        idx = np.flatnonzero(live)
+        if idx.size:
+            cols = slice(None) if idx.size == live.size else idx
+            xv, yv, e = xs[:, cols], ys[:, cols], expo[cols]
+            hi, lo, prox = _norm_extremes(xv, yv)
             with np.errstate(over="ignore"):
-                h = np.hypot(xs, ys)
-                r = np.ldexp(h, expo)
-                escaped = np.ldexp(np.abs(xs), expo) > OVERFLOW_LIMIT
-            # live lanes have a running max <= cap (the first step's norm
-            # is at least the starting 1), so the first r above cap is
-            # where the running max passes it
-            stop = escaped | (r > cap)
-            hit = live & stop.any(axis=0)
-            first = stop.argmax(axis=0)
-            overflow = hit & escaped[first, lanes]
-            # a cap step is counted, an overflow step is not
-            upto = np.where(hit, first + 1 - overflow, m)
-            seen = live & (np.arange(m)[:, None] < upto)
-            mx = np.maximum(mx, np.where(seen, r, -math.inf).max(axis=0))
-            mx[overflow] = math.inf
-            mn = np.minimum(mn, np.where(seen, r, math.inf).min(axis=0))
-            near = np.minimum(near, np.where(seen, np.abs(xs) / h,
-                                             math.inf).min(axis=0))
-            live &= ~hit
+                cap_e = np.ldexp(cap, -e)
+                limit_e = np.ldexp(OVERFLOW_LIMIT, -e)
+            hit = np.flatnonzero(
+                (hi > cap_e) | (np.abs(xv).max(axis=0) > limit_e))
+            if hit.size:
+                # live lanes have a running max <= cap (the first step's
+                # norm is at least the starting 1), so the first norm
+                # above cap is where the running max passes it; a cap
+                # step is counted, an overflow step is not
+                hk, ak = np.hypot(xv[:, hit], yv[:, hit]), np.abs(xv[:, hit])
+                escaped = ak > limit_e[hit]
+                stop = escaped | (hk > cap_e[hit])
+                first = stop.argmax(axis=0)
+                overflow = escaped[first, np.arange(hit.size)]
+                seen = row_no[:m] < first + 1 - overflow
+                hi[hit] = np.where(seen, hk, -math.inf).max(axis=0)
+                hi[hit[overflow]] = math.inf
+                lo[hit] = np.where(seen, hk, math.inf).min(axis=0)
+                prox[hit] = np.where(seen, ak / hk, math.inf).min(axis=0)
+                live[idx[hit]] = False
+            with np.errstate(over="ignore"):
+                mx[cols] = np.maximum(mx[cols], np.ldexp(hi, e))
+            mn[cols] = np.minimum(mn[cols], np.ldexp(lo, e))
+            near[cols] = np.minimum(near[cols], prox)
 
         _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
         y = np.ldexp(y, -e)
@@ -380,6 +408,47 @@ def _orbit_stats(cells: list[Params], budget: int,
     return [(RotationEstimate(values[i], budget, 1.0 / budget),
              _NormStats(mx[n + i], mn[n + i], near[n + i], mx[i]))
             for i in range(n)]
+
+
+#: Relative slack of the candidate filters of :func:`_norm_extremes`,
+#: far above the few-ulp errors of ``hypot`` and of the squared norms.
+_SLACK = 2.0 ** -30
+#: Squared proximities below this may have lost accuracy to underflow.
+_TINY_Q = 2.0 ** -190
+
+
+def _norm_extremes(x, y):
+    """Column max and min of ``h = np.hypot(x, y)`` and column min of
+    ``|x| / h``, bit for bit, evaluating hypot only where an extreme
+    can be.
+
+    ``s = x*x + y*y`` and ``q = x*x / s`` are ``h**2`` and
+    ``(|x| / h)**2`` to a few ulps, so an element at a column extreme of
+    ``h`` (of ``|x| / h``) has ``s`` (``q``) within ``_SLACK`` of that
+    column's extreme ``s`` (``q``); the extremes over these candidates
+    are the extremes over all elements.  A ``q`` below ``2**-200`` may
+    have lost its relative accuracy to underflow in ``x*x``, so every
+    ``q`` up to ``_TINY_Q`` is a candidate too: its ``|x| / h`` is far
+    below that of any ``q`` above ``_TINY_Q``.  Needs finite elements
+    with ``max(|x|, |y|)`` in ``[2**-401, 2**401]``, as the kernel's
+    chunks keep them (see ``rescale_chunk``).
+    """
+    xx = x * x
+    s = y * y
+    s += xx
+    q = np.divide(xx, s, out=xx)
+    cand = s >= s.max(axis=0) * (1.0 - _SLACK)
+    cand |= s <= s.min(axis=0) * (1.0 + _SLACK)
+    cand |= q <= np.maximum(q.min(axis=0) * (1.0 + _SLACK), _TINY_Q)
+    row, col = np.nonzero(cand)
+    xc = x[row, col]
+    h = np.hypot(xc, y[row, col])
+    hi = np.full(x.shape[1], -math.inf)
+    lo, prox = np.full((2, x.shape[1]), math.inf)
+    np.maximum.at(hi, col, h)
+    np.minimum.at(lo, col, h)
+    np.minimum.at(prox, col, np.abs(xc) / h)
+    return hi, lo, prox
 
 
 def _grid_value(rng: tuple[float, float], i: int, resolution: int) -> float:

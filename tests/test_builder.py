@@ -19,6 +19,7 @@ from pwlin.builder import _residual_walk
 from pwlin.circle import angle_of
 from pwlin.core import step
 from pwlin.errors import (
+    ArgumentError,
     AsymptoteInSectorError,
     OrbitOverflowError,
     PeriodicSuspectError,
@@ -77,6 +78,15 @@ def test_periodic_suspect():
     assert rel is not None and rel.lam == -1.0
     with pytest.raises(PeriodicSuspectError):
         build_invariant_circle(params, rel)
+
+
+@pytest.mark.parametrize("a, b", [(2.0 ** 0.25, -(2.0 ** 0.25)), (1.0, 1.0)])
+def test_bad_sample_count_is_not_a_sector_failure(a, b):
+    # raised as it is, not collected as a failed sector (and at (1, 1)
+    # not wrapped into the periodicity suspicion)
+    params = Params(a, b)
+    with pytest.raises(ArgumentError, match="need at least two samples"):
+        build_invariant_circle(params, orbit_relation(params), n_samples=1)
 
 
 def test_residual_long_orbit(circle_a_special):

@@ -197,3 +197,90 @@ def test_precision_env_is_scoped(tmp_path, monkeypatch, capsys):
     # the value was formatted inside the scope: more digits than a double
     value = capsys.readouterr().out.splitlines()[0].split("'")[1]
     assert len(value.lstrip("0.")) > 20
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rotation", "-a", "1.2", "-b", "-1.3", "-N", "0"], "steps must be >= 1"),
+    (["rotation", "-a", "1.2", "-b", "-1.3", "-N", "100", "--q-max", "0"],
+     "q_max must be >= 1"),
+    (["scan", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1",
+      "--resolution", "5000"], "resolution must be in [0, 2048]"),
+    (["trace-curve", "--k", "0", "--slice", "b=-a", "--bracket", "1.1", "1.3"],
+     "k must be nonzero"),
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, monkeypatch,
+                                                capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_argument_error_is_a_value_error():
+    from pwlin import Params, rotation_number, scan
+    from pwlin.errors import ArgumentError, PwlinError
+
+    assert issubclass(ArgumentError, PwlinError)
+    with pytest.raises(ValueError):
+        rotation_number(Params(1.2, -1.3), (1.0, 0.0), 0)
+    with pytest.raises(ArgumentError):
+        scan((0.0, 1.0), (0.0, 1.0), 5000)
+
+
+@pytest.mark.parametrize("n", ["-3", "-1"])
+def test_orbit_rejects_negative_length(tmp_path, capsys, n):
+    out = tmp_path / "orbit.csv"
+    code = cli(["orbit", "-a", "1.2", "-b", "-1.3", "-x", "0", "-y", "1",
+                "-n", n, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: -n must be at least 0, got {n}\n"
+    assert not out.exists()
+
+
+def test_orbit_zero_length(tmp_path):
+    out = tmp_path / "orbit.csv"
+    assert cli(["orbit", "-a", "1.2", "-b", "-1.3", "-x", "0", "-y", "1",
+                "-n", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "n,x,y\n0,0,1\n"
+
+
+def _reference_scan_csv(records, path):
+    """The scan CSV writer as it was inlined in the CLI."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            return f"{v:.17g}"
+        return str(v)
+
+    cols = ["a", "b", "rotation_value", "rotation_steps",
+            "rotation_error_bound", "rotation_snap_p", "rotation_snap_q",
+            "verdict", "periodic_q", "norm_growth",
+            "near_return_residual", "period_matrix_residual",
+            "radius_ratio", "error"]
+    lines = [",".join(cols)]
+    for row in (r.to_dict() for r in records):
+        lines.append(",".join(cell(row[c]) for c in cols))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("grid, budget", [
+    (((-2.5, 2.5), (-2.5, 2.5), 5), 1000),  # every verdict
+    (((0.0, 1.0), (0.0, 1.0), 2), 10),  # error markers, nan values
+    (((1e200, 1e200), (-1.0, -1.0), 1), 1000),  # a failed classify cell
+])
+def test_scan_csv_matches_inline_writer(tmp_path, grid, budget):
+    from pwlin import scan
+
+    out, want = tmp_path / "scan.csv", tmp_path / "want.csv"
+    (a_lo, a_hi), (b_lo, b_hi), res = grid
+    assert cli(["scan", "--a-min", repr(a_lo), "--a-max", repr(a_hi),
+                "--b-min", repr(b_lo), "--b-max", repr(b_hi),
+                "--resolution", str(res), "--budget", str(budget),
+                "--out", str(out)]) == 0
+    _reference_scan_csv(scan(*grid, budget), want)
+    assert out.read_bytes() == want.read_bytes()

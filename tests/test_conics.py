@@ -19,7 +19,7 @@ from pwlin import (
     word_matrix,
 )
 from pwlin.circle import angle_of
-from pwlin.conics import classify, conic_class_of_trace
+from pwlin.conics import conic_class_of_trace
 from pwlin.errors import AsymptoteInSectorError, DegenerateMatrixError
 from pwlin.families import alpha0, piece_matrices, reference_sector
 
@@ -91,21 +91,27 @@ def test_form_of_inverse_matches():
         assert abs(f1.C - f2.C) <= 1e-9
 
 
+def _conic_class(m):
+    """Conic class of the invariant level sets of m (raises on +-I)."""
+    invariant_form(m)
+    return conic_class_of_trace(m.trace())
+
+
 def test_classify_ellipse_regime():
     for a in (1.05, 1.2, 1.35):
         m1, _ = piece_matrices(FamilyId.EX_A, a)
-        assert classify(m1) is ConicClass.ELLIPSE
+        assert _conic_class(m1) is ConicClass.ELLIPSE
         assert abs(m1.trace() - (3 * a - a**3)) <= 1e-12
 
 
 def test_classify_threshold_cases():
     a0 = alpha0()
     _, m4 = piece_matrices(FamilyId.EX_B, a0)
-    assert classify(m4) is ConicClass.PARALLEL_LINES
+    assert _conic_class(m4) is ConicClass.PARALLEL_LINES
     _, m4h = piece_matrices(FamilyId.EX_B, 0.78615)
-    assert classify(m4h) is ConicClass.HYPERBOLA
+    assert _conic_class(m4h) is ConicClass.HYPERBOLA
     _, m4e = piece_matrices(FamilyId.EX_B, 0.1)
-    assert classify(m4e) is ConicClass.ELLIPSE
+    assert _conic_class(m4e) is ConicClass.ELLIPSE
 
 
 def test_classification_matches_disc_sign():

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlin import (
     ClassRecord,
@@ -90,6 +92,15 @@ def test_scan_records_per_cell_errors(monkeypatch):
     assert len(failed) == 1
     assert failed[0].verdict is Verdict.UNDETERMINED
     assert "synthetic" in failed[0].error
+
+
+def test_scan_raises_argument_errors():
+    # a bad config is the caller's error, not a per-cell marker
+    from pwlin.errors import ArgumentError
+
+    with pytest.raises(ArgumentError, match="q_max must be >= 1"):
+        scan((0.0, 1.0), (0.0, 1.0), 2, budget=1500,
+             config=ScanConfig(periodic_q_max=0))
 
 
 def test_scan_propagates_programming_errors(monkeypatch):
@@ -204,6 +215,293 @@ def test_scan_swap_symmetry():
                  for r in records}
     for (a, b), verdict in by_params.items():
         assert by_params[(b, a)] == verdict
+
+
+def _reference_orbit_stats(cells, budget, cap, chunk_cap=64):
+    """The batched kernel as it was before per-lane thresholds: norms
+    scaled element by element, masked reductions over every chunk."""
+    import numpy as np
+
+    from pwlin.circle import TWO_PI
+    from pwlin.core import OVERFLOW_LIMIT, rescale_chunk
+    from pwlin.scanner import _NormStats
+
+    n = len(cells)
+    a = np.array([c.a for c in cells], dtype=float)
+    b = np.array([c.b for c in cells], dtype=float)
+    slope_a, slope_b = np.tile(a, 2), np.tile(b, 2)
+    chunk = rescale_chunk((np.abs(a).max(), np.abs(b).max()), chunk_cap)
+
+    buf = np.empty((chunk + 1, 2 * n))
+    rows = list(buf)
+    buf[0] = np.repeat([1.0, 0.0], n)
+    y = np.repeat([0.0, 1.0], n)
+    expo = np.zeros(2 * n, dtype=np.int64)
+    nonneg = np.empty(2 * n, dtype=bool)
+
+    two_pi, half_pi, three_half_pi = TWO_PI, 0.5 * math.pi, 1.5 * math.pi
+    prev = np.zeros(n)
+    turns = np.zeros((chunk + 1, n))
+
+    mx, mn, near = np.ones(2 * n), np.ones(2 * n), np.full(2 * n, math.inf)
+    live = np.ones(2 * n, dtype=bool)
+    lanes = np.arange(2 * n)
+
+    done = 0
+    while done < budget:
+        m = min(chunk, budget - done)
+        x = buf[0]
+        for row in rows[1:m + 1]:
+            np.greater_equal(x, 0.0, out=nonneg)
+            np.multiply(np.where(nonneg, slope_a, slope_b), x, out=row)
+            np.subtract(row, y, out=row)
+            x, y = row, x
+        xs, ys = buf[1:m + 1], buf[:m]
+
+        t = np.arctan2(ys[:, :n], xs[:, :n])
+        d = np.diff(t, axis=0, prepend=prev[None])
+        d = np.where(d < -half_pi, d + two_pi,
+                     np.where(d >= three_half_pi, d - two_pi, d))
+        acc = turns[:m + 1]
+        np.divide(d, two_pi, out=acc[1:])
+        np.add.accumulate(acc, axis=0, out=acc)
+        acc[0] = acc[m]
+        prev = t[m - 1]
+
+        if live.any():
+            with np.errstate(over="ignore"):
+                h = np.hypot(xs, ys)
+                r = np.ldexp(h, expo)
+                escaped = np.ldexp(np.abs(xs), expo) > OVERFLOW_LIMIT
+            stop = escaped | (r > cap)
+            hit = live & stop.any(axis=0)
+            first = stop.argmax(axis=0)
+            overflow = hit & escaped[first, lanes]
+            upto = np.where(hit, first + 1 - overflow, m)
+            seen = live & (np.arange(m)[:, None] < upto)
+            mx = np.maximum(mx, np.where(seen, r, -math.inf).max(axis=0))
+            mx[overflow] = math.inf
+            mn = np.minimum(mn, np.where(seen, r, math.inf).min(axis=0))
+            near = np.minimum(near, np.where(seen, np.abs(xs) / h,
+                                             math.inf).min(axis=0))
+            live &= ~hit
+
+        _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
+        y = np.ldexp(y, -e)
+        buf[0] = np.ldexp(x, -e)
+        expo += e
+        done += m
+
+    values = (turns[0] / budget).tolist()
+    mx, mn, near = mx.tolist(), mn.tolist(), near.tolist()
+    return [(RotationEstimate(values[i], budget, 1.0 / budget),
+             _NormStats(mx[n + i], mn[n + i], near[n + i], mx[i]))
+            for i in range(n)]
+
+
+def _identical(x, y):
+    """Exact float equality that counts nan as equal to nan."""
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _assert_kernel_matches_reference(cells, budget, cap):
+    import pwlin.scanner as scanner_mod
+
+    got = scanner_mod._orbit_stats(cells, budget, cap)
+    want = _reference_orbit_stats(cells, budget, cap)
+    assert len(got) == len(want) == len(cells)
+    for params, (est, stats), (est0, stats0) in zip(cells, got, want):
+        assert (est.steps, est.error_bound) == (est0.steps, est0.error_bound)
+        assert _identical(est.value, est0.value), params
+        for field, v, v0 in zip(stats._fields, stats, stats0):
+            assert _identical(v, v0), (params, field)
+
+
+def _batched_cells(a_range, b_range, resolution, half_plane=False):
+    """The cells of a scan grid that the batched kernel walks."""
+    import pwlin.scanner as scanner_mod
+    from pwlin.core import rescale_chunk
+
+    cells = []
+    for i in range(resolution):
+        a = scanner_mod._grid_value(a_range, i, resolution)
+        for j in range(resolution):
+            b = scanner_mod._grid_value(b_range, j, resolution)
+            if not (half_plane and a < b):
+                cells.append(Params(a, b))
+    return [c for c in cells
+            if rescale_chunk((c.a, c.b), scanner_mod._CHUNK)]
+
+
+_KERNEL_GRIDS = [
+    # the equivalence grids
+    (((1.0, 1.1), (1.0, 1.1), 2), 5000, False, 1e6),
+    (((0.0, 1.0), (0.0, 1.0), 4), 2000, False, 1e6),
+    (((0.0, 1.0), (0.0, 1.0), 4), 2000, True, 1e6),
+    (((-1.2, 1.2), (-1.2, 1.2), 3), 4000, False, 1e6),
+    (((-2.5, 2.5), (-2.5, 2.5), 9), 2000, False, 1e6),
+    (((-2.5, 2.5), (-2.5, 2.5), 9), 2000, True, 1e6),
+    (((-3.0, 3.0), (-3.0, 3.0), 5), 2000, False, math.inf),
+    (((-3.0, 3.0), (-3.0, 3.0), 3), 2000, False, 0.5),
+    # the edge grids that have batched cells
+    (((0.0, 1e-300), (-1.0, 0.0), 2), 2000, False, 1e6),
+    (((-1.0, 1e200), (-1.0, 1e200), 2), 2000, False, 1e6),
+    (((1e100, 1e110), (-2.0, 2.0), 2), 2000, False, 1e6),
+    # a wider grid without a cap and with a cap below the start
+    (((-4.0, 4.0), (-4.0, 4.0), 12), 3000, False, math.inf),
+    (((-4.0, 4.0), (-4.0, 4.0), 6), 1500, False, 0.5),
+]
+
+
+@pytest.mark.parametrize("grid, budget, half_plane, cap", _KERNEL_GRIDS)
+def test_kernel_matches_reference_kernel(grid, budget, half_plane, cap):
+    cells = _batched_cells(*grid, half_plane)
+    assert cells
+    _assert_kernel_matches_reference(cells, budget, cap)
+
+
+def _first_stop(params, start, cap, budget):
+    """Step at which a norm run from ``start`` stops, and why."""
+    from pwlin.core import OVERFLOW_LIMIT
+
+    x, y = start
+    for k in range(1, budget + 1):
+        x, y = (params.a if x >= 0 else params.b) * x - y, x
+        if abs(x) > OVERFLOW_LIMIT:
+            return k, "overflow"
+        if math.hypot(x, y) > cap:
+            return k, "cap"
+    return None
+
+
+def _cap_stopping_at(params, start, k):
+    """A cap between the running max before step ``k`` and the norm at
+    step ``k``, so that the norm run from ``start`` stops there."""
+    orbit, _ = iterate(params, start, k)
+    norms = [math.hypot(*p) for p in orbit]
+    below, at = max(norms[:k]), norms[k]
+    assert at > below * (1 + 1e-6)
+    return math.sqrt(below * at)
+
+
+_OTHER_CELLS = [Params(1.2, -1.3), Params(2.05, 2.05), Params(0.0, 0.0),
+                Params(-2.5, 2.5)]
+
+
+@pytest.mark.parametrize("start", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("k", [128, 129, 256, 257])
+def test_kernel_cap_stop_on_chunk_edge(start, k):
+    # the kernel's chunks are 128 rows here: step 128 is a chunk's last
+    # row and step 129 the next chunk's first
+    import pwlin.scanner as scanner_mod
+    from pwlin.core import rescale_chunk
+
+    target = Params(2.1, 2.1)
+    cells = [target, *_OTHER_CELLS]
+    assert rescale_chunk((2.5, 2.5), scanner_mod._CHUNK) == 128
+    cap = _cap_stopping_at(target, start, k)
+    assert _first_stop(target, start, cap, 1000) == (k, "cap")
+    _assert_kernel_matches_reference(cells, 1000, cap)
+
+
+@pytest.mark.parametrize("t, start, k", [
+    (2.3695, (1.0, 0.0), 1153),
+    (2.3705, (0.0, 1.0), 1153),
+    (2.3705, (1.0, 0.0), 1152),
+    (2.371, (0.0, 1.0), 1152),
+])
+def test_kernel_overflow_stop_on_chunk_edge(t, start, k):
+    target = Params(t, t)
+    assert _first_stop(target, start, math.inf, 2000) == (k, "overflow")
+    _assert_kernel_matches_reference([target, *_OTHER_CELLS], 2000, math.inf)
+
+
+@pytest.mark.parametrize("cell, budget", [
+    # the norm passes OVERFLOW_LIMIT on a chunk's last row (step 2560),
+    # |x| on the next chunk's first
+    (Params(2.0731, 2.0731), 3000),
+    # the overflow row has the least |x| / h of the (0, 1) run
+    (Params(-1.5075474858940918, 6.596467910093487), 1000),
+])
+def test_kernel_overflow_lanes(cell, budget):
+    assert _first_stop(cell, (0.0, 1.0), math.inf, budget)[1] == "overflow"
+    _assert_kernel_matches_reference([cell, *_OTHER_CELLS], budget, math.inf)
+
+
+def test_multi_block_scan_matches_reference_kernel(monkeypatch):
+    import pwlin.scanner as scanner_mod
+
+    grid = ((-2.5, 2.5), (-2.5, 2.5), 9)
+    monkeypatch.setattr(scanner_mod, "_BLOCK", 7)
+    blocked = [r.to_dict() for r in scan(*grid, budget=2000)]
+    monkeypatch.setattr(scanner_mod, "_BLOCK", 10_000)
+    monkeypatch.setattr(scanner_mod, "_orbit_stats", _reference_orbit_stats)
+    whole = [r.to_dict() for r in scan(*grid, budget=2000)]
+    assert len(blocked) == len(whole) == 81
+    for got, want in zip(blocked, whole):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert _identical(got[key], value), (want["a"], want["b"], key)
+            else:
+                assert got[key] == value
+
+
+def _brute_norm_extremes(x, y):
+    import numpy as np
+
+    h = np.hypot(x, y)
+    return h.max(axis=0), h.min(axis=0), (np.abs(x) / h).min(axis=0)
+
+
+def _assert_norm_extremes_exact(x, y):
+    import numpy as np
+
+    from pwlin.scanner import _norm_extremes
+
+    for got, want in zip(_norm_extremes(x, y), _brute_norm_extremes(x, y)):
+        assert np.array_equal(got, want)
+
+
+def test_norm_extremes_ties_and_near_axis():
+    import numpy as np
+
+    # equal norms in every column, exact zeros, |x| / h far below the
+    # square root of the smallest normal, and the scale limits; in the
+    # last column x*x is subnormal and the smaller |x| / h (row 0) has
+    # the larger x*x / s
+    x = np.array([[3.0, 0.0, 1e-300, 2.0 ** -401, 1.0, 6.547207907092882e-161],
+                  [4.0, 5.0, 1e-200, -(2.0 ** 401), 1.0,
+                   1.1016416011082776e-160],
+                  [-3.0, -0.0, -1e-250, 2.0 ** -300, 1.0, 0.3],
+                  [0.0, 3.0, 1e-170, 2.0 ** 200, 1.0, 3.0]])
+    y = np.array([[4.0, 5.0, 1.0, 2.0 ** -401, 1.0, 1.0],
+                  [3.0, 0.0, 2.0, 2.0 ** 401, 1.0, 1.68259525107728],
+                  [-4.0, -5.0, 0.5, 1.0, 1.0, 0.2],
+                  [5.0, 4.0, 1.5, -(2.0 ** 200), 1.0, 3.0]])
+    q = x[:, 5] ** 2 / (x[:, 5] ** 2 + y[:, 5] ** 2)
+    assert q[0] > q[1] and x[0, 5] / y[0, 5] < x[1, 5] / y[1, 5]
+    _assert_norm_extremes_exact(x, y)
+
+
+_COMPONENTS = st.one_of(
+    st.floats(-2.0 ** 40, 2.0 ** 40, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-200, 1e-160, 2.0 ** -401,
+                     3.0, -4.0, 5.0, 2.0 ** 401]),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12), st.integers(1, 5), st.data())
+def test_norm_extremes_match_hypot_everywhere(m, lanes, data):
+    import numpy as np
+
+    values = data.draw(st.lists(_COMPONENTS, min_size=2 * m * lanes,
+                                max_size=2 * m * lanes))
+    x, y = np.array(values).reshape(2, m, lanes)
+    # the kernel's chunks keep max(|x|, |y|) in [2**-401, 2**401]
+    y[np.maximum(np.abs(x), np.abs(y)) < 2.0 ** -401] = 1.0
+    _assert_norm_extremes_exact(x, y)
 
 
 def _reference_orbit_csv(params, start, n, path):

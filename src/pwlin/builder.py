@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, rotation_number, snap_rational
+from .circle import TWO_PI, angle_of, rotation_number, snap_rational
 from .conics import (
     ConicArc,
     ConicClass,
@@ -38,6 +38,7 @@ from .errors import (
 from .returnmap import (
     OrbitRelation,
     Ray,
+    _rel_angle,
     commutator_residual,
     distinguished_sectors,
     distinguished_set,
@@ -51,6 +52,9 @@ MAX_COMMUTATOR = 1e-8
 PERIODIC_Q_MAX = 64
 #: Orbit points per numpy block in ``residual_report``; bounds its memory.
 RESIDUAL_CHUNK = 4096
+#: Angular distance (rad) from a sector boundary within which
+#: ``residual_report`` finds a point's sector by the per-point test.
+BOUNDARY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -229,23 +233,56 @@ def residual_report(
     (:func:`walk_chain`: ``step``'s arithmetic, no per-step check).
     ``step`` would raise at the first component beyond
     ``OVERFLOW_LIMIT``, and that aborts the whole call, so the same
-    error is raised when any non-NaN point of a chunk exceeds it.  Each
-    point's angle is ``math.atan2`` as in ``angle_of``; sector lookup
-    and residuals are then evaluated with numpy.  Every operation is
-    the one the per-point loop over ``step``, ``Sector`` and
-    ``QuadraticForm`` would perform, in the same order, so the result
-    is bit-identical to it, and a NaN residual is never recorded.
+    error is raised when any non-NaN point of a chunk exceeds it.  The
+    sector of each point is the one the per-point loop would find from
+    its ``angle_of`` angle (``math.atan2``) and ``Sector.contains_angle``
+    in arc order; it is looked up in a table of angular gaps, with that
+    loop run only near gap boundaries (see :func:`_residual_walk`).
+    Residuals are evaluated with numpy, each operation the one
+    ``QuadraticForm`` performs, in the same order, so the result is
+    bit-identical to the per-point loop, and a NaN residual is never
+    recorded.
     """
     max_res, per_sector, _ = _residual_walk(circle, orbit_len, start, 0)
     return max_res, per_sector
 
 
+def _first_sector(t: float, starts: list[float], widths: list[float]) -> int:
+    """Index of the first arc whose sector holds angle ``t``, or -1
+    (``Sector.contains_angle`` on each arc in CCW order)."""
+    return next((i for i, (s, w) in enumerate(zip(starts, widths))
+                 if _rel_angle(t, s) < w), -1)
+
+
 def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
-                   keep: int) -> tuple[float, list[float], list[Point]]:
+                   keep: int) -> tuple[float, list[float],
+                                       tuple[np.ndarray, np.ndarray]]:
     """:func:`residual_report`, plus the first ``keep + 1`` points of its
-    orbit (``start`` included), taken from the same walk."""
-    starts = np.array([arc.sector.start_angle for arc in circle.arcs])
-    widths = np.array([arc.sector.width for arc in circle.arcs])
+    orbit (``start`` included) as float64 x and y arrays, taken from the
+    same walk.
+
+    Sector lookup.  The sector boundaries (every arc's start angle and
+    its end ``fmod(start + width, 2*pi)``, plus 0 and 2*pi) cut [0, 2*pi]
+    into gaps; each gap's owner is the per-point test evaluated at its
+    midpoint.  A point's angle, from ``np.arctan2`` reduced as in
+    ``angle_of``, picks its gap by ``np.searchsorted``.  This is exact
+    away from the boundaries: ``np.arctan2`` and libm ``atan2`` differ
+    by a few ulps, and the per-point test's ``fmod`` and ``+ 2*pi`` round
+    by about 1e-15 rad, so an angle more than ``BOUNDARY_SLACK`` from
+    every boundary lies, by either ``atan2``, on the same side of every
+    boundary, where each arc's test gives the same answer as at the gap's
+    midpoint.  Points within the slack of a boundary, and points whose
+    angle is NaN, take the per-point path (``angle_of``, then
+    :func:`_first_sector`).  That path always runs: the first ``|n|``
+    orbit points of (0, 1) are the distinguished points, which lie on
+    the sector rays.
+    """
+    starts = [arc.sector.start_angle for arc in circle.arcs]
+    widths = [arc.sector.width for arc in circle.arcs]
+    cuts = np.unique([0.0, TWO_PI, *starts,
+                      *(math.fmod(s + w, TWO_PI) for s, w in zip(starts, widths))])
+    owner = np.array([_first_sector(0.5 * (lo + hi), starts, widths)
+                      for lo, hi in zip(cuts[:-1], cuts[1:])])
     coef_a = np.array([arc.form.A for arc in circle.arcs])
     coef_2b = np.array([2.0 * arc.form.B for arc in circle.arcs])
     coef_c = np.array([arc.form.C for arc in circle.arcs])
@@ -258,7 +295,7 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
     x, y = start
     if orbit_len > 0 and abs(x) > limit:
         raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
-    kept = [y, x]  # the chain of the first keep steps
+    kept = [np.array([y, x], dtype=float)]  # the chain of the first keep steps
     done = 0
     while done < orbit_len:
         m = min(RESIDUAL_CHUNK, orbit_len - done)
@@ -268,22 +305,25 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
         if (np.abs(xs[2:]) > limit).any():
             raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
         if done < keep:
-            kept.extend(chain[2:2 + keep - done])
+            kept.append(xs[2:2 + keep - done])
         y, x = chain[-2], chain[-1]
         done += m
 
-        # angle_of's reduction to [0, 2*pi)
-        t = np.array(list(map(math.atan2, chain[1:-1], chain[2:])))
+        px, py = xs[2:], xs[1:-1]
+        with np.errstate(invalid="ignore"):  # NaN points
+            t = np.arctan2(py, px)
         t = np.where(t < 0.0, t + TWO_PI, t)
-        t = np.where(t >= TWO_PI, 0.0, t)
-        rel = np.fmod(t[:, None] - starts, TWO_PI)
-        rel = np.where(rel < 0.0, rel + TWO_PI, rel)
-        inside = rel < widths
-        sec = inside.argmax(axis=1)
-        hit = inside[np.arange(m), sec]
+        lo = np.searchsorted(cuts, t - BOUNDARY_SLACK)
+        hi = np.searchsorted(cuts, t + BOUNDARY_SLACK, side="right")
+        clear = (lo == hi) & (lo < cuts.size)  # NaN sorts past every cut
+        sec = np.empty(m, dtype=np.intp)
+        sec[clear] = owner[lo[clear] - 1]
+        for k in np.flatnonzero(~clear).tolist():
+            sec[k] = _first_sector(angle_of((chain[k + 2], chain[k + 1])),
+                                   starts, widths)
+        hit = sec >= 0
         sec = sec[hit]
-        px = xs[2:][hit]
-        py = xs[1:-1][hit]
+        px, py = px[hit], py[hit]
         # float overflow and inf - inf pass silently, as in scalar code
         with np.errstate(over="ignore", invalid="ignore"):
             q = (coef_a[sec] * px * px + coef_2b[sec] * px * py
@@ -292,8 +332,8 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
         valid = ~np.isnan(r)
         np.maximum.at(best, sec[valid], r[valid])
     per_sector = [float(v) for v in best]
-    orbit = [start, *zip(kept[2:], kept[1:-1])]
-    return max(per_sector), per_sector, orbit
+    prefix = np.concatenate(kept, dtype=float)
+    return max(per_sector), per_sector, (prefix[1:], prefix[:-1])
 
 
 def circle_to_polyline(

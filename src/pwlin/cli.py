@@ -112,13 +112,13 @@ def _cmd_circle(ns) -> int:
     circle = build_invariant_circle(params, relation, n_samples=ns.samples)
     plot_n = min(ns.orbit_len, 20000)
     # one walk gives the residual report and the plotted orbit prefix
-    max_res, _, orbit = _residual_walk(circle, ns.orbit_len, (0.0, 1.0),
-                                       plot_n)
+    max_res, _, (xs, ys) = _residual_walk(circle, ns.orbit_len, (0.0, 1.0),
+                                          plot_n)
     poly = circle_to_polyline(circle)
     svg_path = ns.svg or "circle.svg"
     json_path = ns.json or "circle.json"
     _write_svg(PlotSpec(params, (0.0, 1.0), plot_n, svg_path, overlay=poly),
-               orbit)
+               xs, ys)
     payload = {
         "schema_version": "v1",
         "a": params.a,

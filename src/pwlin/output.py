@@ -5,7 +5,6 @@ byte-identical files.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,22 +102,35 @@ def emit_svg(spec: PlotSpec) -> None:
 
     The view window is the 1%-99% quantile bounding box of all plotted
     points with a 5% margin; the axes are drawn through the origin when
-    it is inside the window.
+    it is inside the window.  Pixels are computed in doubles, so an
+    extended-precision orbit is drawn from its float64 values.
     """
-    _write_svg(spec, _orbit_points(spec))
+    orbit = np.array(_orbit_points(spec), dtype=float).reshape(-1, 2)
+    _write_svg(spec, orbit[:, 0], orbit[:, 1])
 
 
-def _write_svg(spec: PlotSpec, points: list[Point]) -> None:
-    """:func:`emit_svg` with the orbit points already computed."""
-    allpts = list(points)
-    if spec.overlay:
-        allpts.extend(spec.overlay)
+_DOT = '<circle cx="%.2f" cy="%.2f" r="0.5" fill="#1f4e79"/>'
+
+
+def _write_svg(spec: PlotSpec, xs: np.ndarray, ys: np.ndarray) -> None:
+    """:func:`emit_svg` with the orbit already computed, as float64 x and
+    y arrays.
+
+    Each pixel coordinate is the per-point ``(x - x_lo) * width /
+    x_span`` (and ``(y_hi - y) * height / y_span``) evaluated on the
+    arrays, the same operations in the same order, and is formatted with
+    ``%.2f``, the formatter of ``f"{v:.2f}"`` for floats.  A point is
+    drawn when it lies within one pixel of the canvas; NaN and infinite
+    coordinates pass through the arithmetic silently and never do.
+    """
+    overlay = np.array(spec.overlay or [], dtype=float).reshape(-1, 2)
+    all_x = np.concatenate([xs, overlay[:, 0]])
+    all_y = np.concatenate([ys, overlay[:, 1]])
     width, height = spec.size
-    if allpts:
-        xs = np.array([p[0] for p in allpts], dtype=float)
-        ys = np.array([p[1] for p in allpts], dtype=float)
-        x_lo, x_hi = (float(v) for v in np.percentile(xs, [1.0, 99.0]))
-        y_lo, y_hi = (float(v) for v in np.percentile(ys, [1.0, 99.0]))
+    if all_x.size:
+        with np.errstate(invalid="ignore"):  # inf - inf between quantiles
+            x_lo, x_hi = (float(v) for v in np.percentile(all_x, [1.0, 99.0]))
+            y_lo, y_hi = (float(v) for v in np.percentile(all_y, [1.0, 99.0]))
     else:
         x_lo = y_lo = -1.0
         x_hi = y_hi = 1.0
@@ -128,12 +140,12 @@ def _write_svg(spec: PlotSpec, points: list[Point]) -> None:
     x_hi += 0.05 * x_span
     y_lo -= 0.05 * y_span
     y_hi += 0.05 * y_span
-    x_span = x_hi - x_lo
-    y_span = y_hi - y_lo
-
-    def to_px(p: Point) -> tuple[float, float]:
-        return ((p[0] - x_lo) * width / x_span,
-                (y_hi - p[1]) * height / y_span)
+    # beyond 2**49 the margin can round away: keep the window nonempty
+    x_span = x_hi - x_lo or 1.0
+    y_span = y_hi - y_lo or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = (all_x - x_lo) * width / x_span
+        py = (y_hi - all_y) * height / y_span
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -150,16 +162,14 @@ def _write_svg(spec: PlotSpec, points: list[Point]) -> None:
         parts.append(
             f'<line x1="0" y1="{cy:.2f}" x2="{width}" y2="{cy:.2f}" '
             'stroke="#999999" stroke-width="1"/>')
-    for p in points:
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-            continue
-        px, py = to_px(p)
-        if -1 <= px <= width + 1 and -1 <= py <= height + 1:
-            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="0.5" '
-                         'fill="#1f4e79"/>')
+    n = xs.size
+    dx, dy = px[:n], py[:n]
+    # a non-finite coordinate never gives a pixel inside the window
+    drawn = (dx >= -1) & (dx <= width + 1) & (dy >= -1) & (dy <= height + 1)
+    parts.extend(map(_DOT.__mod__, zip(dx[drawn].tolist(), dy[drawn].tolist())))
     if spec.overlay:
-        coords = " ".join(
-            f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in spec.overlay))
+        coords = " ".join(map("%.2f,%.2f".__mod__,
+                              zip(px[n:].tolist(), py[n:].tolist())))
         parts.append(f'<polyline points="{coords}" fill="none" '
                      'stroke="#d7301f" stroke-width="1"/>')
     parts.append("</svg>")

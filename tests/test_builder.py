@@ -2,7 +2,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pwlin import (
     ConicClass,
@@ -17,13 +20,14 @@ from pwlin import (
 )
 from pwlin.builder import _residual_walk
 from pwlin.circle import angle_of
-from pwlin.core import step
+from pwlin.core import inverse_step, step
 from pwlin.errors import (
     ArgumentError,
     AsymptoteInSectorError,
     OrbitOverflowError,
     PeriodicSuspectError,
 )
+from pwlin.returnmap import Ray, Sector
 
 from conftest import A_SPECIAL, ALPHA0, B_SPECIAL, C_SPECIAL
 
@@ -279,10 +283,87 @@ def test_residual_report_nan_orbit_is_not_overflow(report_circles):
 def test_residual_walk_keeps_the_iterated_prefix(report_circles, orbit_len,
                                                   keep):
     circle = report_circles["B"]
-    got, per_sector, orbit = _residual_walk(circle, orbit_len, (0.0, 1.0),
-                                            keep)
+    got, per_sector, (xs, ys) = _residual_walk(circle, orbit_len, (0.0, 1.0),
+                                               keep)
     assert (got, per_sector) == residual_report(circle, orbit_len=orbit_len)
-    assert orbit == iterate(circle.params, (0.0, 1.0), keep)[0]
+    orbit = iterate(circle.params, (0.0, 1.0), keep)[0]
+    assert xs.dtype == ys.dtype == np.float64
+    assert xs.tolist() == [p[0] for p in orbit]
+    assert ys.tolist() == [p[1] for p in orbit]
+
+
+def _boundary_starts(circle):
+    """Starts on and a few ulps either side of every sector boundary
+    (each arc's start and end ray, and angle 0), at two radii, and their
+    preimages, whose first image lands on the boundary to rounding."""
+    angles = [0.0]
+    points = []
+    for arc in circle.arcs:
+        sector = arc.sector
+        points += [sector.start.direction, sector.end.direction]
+        angles += [sector.start_angle,
+                   math.fmod(sector.start_angle + sector.width, 2.0 * math.pi)]
+    for t in angles:
+        lo = hi = t
+        for _ in range(12):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            points += [(math.cos(lo), math.sin(lo)), (math.cos(hi), math.sin(hi))]
+    starts = [(r * x, r * y) for x, y in points for r in (1.0, 3.0)]
+    return starts + [inverse_step(circle.params, p) for p in starts]
+
+
+@pytest.mark.parametrize("name", ["A", "B", "B-ellipse"])
+def test_residual_report_on_sector_boundaries(report_circles, name):
+    # one step each, so the per-sector maxima show the sector the point
+    # was given; numpy's and libm's atan2 can put such points on
+    # opposite sides of a boundary
+    circle = report_circles[name]
+    for start in _boundary_starts(circle):
+        got = residual_report(circle, orbit_len=1, start=start)
+        assert got == _reference_residual_report(circle, 1, start=start), start
+
+
+def test_residual_report_angle_rounding_to_two_pi(report_circles):
+    # atan2 gives -1e-300; adding 2*pi rounds to 2*pi, which angle_of
+    # maps to 0 (the point is off the circle, so its residual is not 0)
+    circle = report_circles["A"]
+    start = (-2e-300, -2.0)
+    assert step(circle.params, start) == (2.0, -2e-300)
+    assert angle_of((2.0, -2e-300)) == 0.0
+    got = residual_report(circle, orbit_len=1, start=start)
+    assert got == _reference_residual_report(circle, 1, start=start)
+    (hit,) = [i for i, r in enumerate(got[1]) if r > 0.0]
+    assert circle.arcs[hit].sector.contains_angle(0.0)
+
+
+def test_residual_report_overlapping_sectors_and_gap(report_circles):
+    # arc 2's sector also spans arcs 1 and 3: the first arc in CCW order
+    # wins, so arc 3 gets no point; the second half of arc 5's sector
+    # lies in no sector, and its points are skipped
+    circle = report_circles["A"]
+    arcs = list(circle.arcs)
+    arcs[2] = dataclasses.replace(
+        arcs[2], sector=Sector(arcs[1].sector.start, arcs[3].sector.end))
+    half = arcs[5].sector.angle_at(0.5)
+    arcs[5] = dataclasses.replace(
+        arcs[5], sector=Sector(arcs[5].sector.start, Ray.at_angle(half)))
+    edited = dataclasses.replace(circle, arcs=arcs)
+    for start in ((0.0, 1.0), (0.3, -0.7)):
+        got = residual_report(edited, orbit_len=20_000, start=start)
+        assert got == _reference_residual_report(edited, 20_000, start=start)
+        assert got[1][3] == 0.0
+        assert got[1][1] > 0.0 and got[1][2] > 0.0 and got[1][5] > 0.0
+    for start in _boundary_starts(edited):
+        got = residual_report(edited, orbit_len=1, start=start)
+        assert got == _reference_residual_report(edited, 1, start=start), start
+
+
+@given(name=st.sampled_from(["A", "B", "B-ellipse"]),
+       x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0))
+def test_residual_report_random_starts(report_circles, name, x, y):
+    circle = report_circles[name]
+    got = residual_report(circle, orbit_len=300, start=(x, y))
+    assert got == _reference_residual_report(circle, 300, start=(x, y))
 
 
 def test_residual_report_overflowing_start(report_circles):

@@ -38,7 +38,6 @@ from .errors import (
 from .returnmap import (
     OrbitRelation,
     Ray,
-    _rel_angle,
     commutator_residual,
     distinguished_sectors,
     distinguished_set,
@@ -247,11 +246,11 @@ def residual_report(
     return max_res, per_sector
 
 
-def _first_sector(t: float, starts: list[float], widths: list[float]) -> int:
-    """Index of the first arc whose sector holds angle ``t``, or -1
-    (``Sector.contains_angle`` on each arc in CCW order)."""
-    return next((i for i, (s, w) in enumerate(zip(starts, widths))
-                 if _rel_angle(t, s) < w), -1)
+def _first_sector(circle: InvariantCircle, t: float) -> int:
+    """Index of the first arc, in CCW order, whose sector holds angle
+    ``t``, or -1."""
+    return next((i for i, arc in enumerate(circle.arcs)
+                 if arc.sector.contains_angle(t)), -1)
 
 
 def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
@@ -264,25 +263,26 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
     Sector lookup.  The sector boundaries (every arc's start angle and
     its end ``fmod(start + width, 2*pi)``, plus 0 and 2*pi) cut [0, 2*pi]
     into gaps; each gap's owner is the per-point test evaluated at its
-    midpoint.  A point's angle, from ``np.arctan2`` reduced as in
-    ``angle_of``, picks its gap by ``np.searchsorted``.  This is exact
+    midpoint, and a last slot of -1 follows the gap table.  A point's
+    angle, from ``np.arctan2`` reduced as in ``angle_of``, picks its gap
+    by ``np.searchsorted``; a NaN angle sorts past every boundary into
+    the last slot, since a NaN angle is in no sector.  This is exact
     away from the boundaries: ``np.arctan2`` and libm ``atan2`` differ
     by a few ulps, and the per-point test's ``fmod`` and ``+ 2*pi`` round
     by about 1e-15 rad, so an angle more than ``BOUNDARY_SLACK`` from
     every boundary lies, by either ``atan2``, on the same side of every
     boundary, where each arc's test gives the same answer as at the gap's
-    midpoint.  Points within the slack of a boundary, and points whose
-    angle is NaN, take the per-point path (``angle_of``, then
-    :func:`_first_sector`).  That path always runs: the first ``|n|``
-    orbit points of (0, 1) are the distinguished points, which lie on
-    the sector rays.
+    midpoint.  Points within the slack of a boundary take the per-point
+    path (``angle_of``, then :func:`_first_sector`).  That path always
+    runs: the first ``|n|`` orbit points of (0, 1) are the distinguished
+    points, which lie on the sector rays.
     """
-    starts = [arc.sector.start_angle for arc in circle.arcs]
-    widths = [arc.sector.width for arc in circle.arcs]
-    cuts = np.unique([0.0, TWO_PI, *starts,
-                      *(math.fmod(s + w, TWO_PI) for s, w in zip(starts, widths))])
-    owner = np.array([_first_sector(0.5 * (lo + hi), starts, widths)
-                      for lo, hi in zip(cuts[:-1], cuts[1:])])
+    sectors = [arc.sector for arc in circle.arcs]
+    cuts = np.unique([0.0, TWO_PI, *(s.start_angle for s in sectors),
+                      *(math.fmod(s.start_angle + s.width, TWO_PI)
+                        for s in sectors)])
+    owner = np.array([_first_sector(circle, 0.5 * (lo + hi))
+                      for lo, hi in zip(cuts[:-1], cuts[1:])] + [-1])
     coef_a = np.array([arc.form.A for arc in circle.arcs])
     coef_2b = np.array([2.0 * arc.form.B for arc in circle.arcs])
     coef_c = np.array([arc.form.C for arc in circle.arcs])
@@ -315,12 +315,12 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
         t = np.where(t < 0.0, t + TWO_PI, t)
         lo = np.searchsorted(cuts, t - BOUNDARY_SLACK)
         hi = np.searchsorted(cuts, t + BOUNDARY_SLACK, side="right")
-        clear = (lo == hi) & (lo < cuts.size)  # NaN sorts past every cut
+        clear = lo == hi
         sec = np.empty(m, dtype=np.intp)
         sec[clear] = owner[lo[clear] - 1]
         for k in np.flatnonzero(~clear).tolist():
-            sec[k] = _first_sector(angle_of((chain[k + 2], chain[k + 1])),
-                                   starts, widths)
+            sec[k] = _first_sector(circle,
+                                   angle_of((chain[k + 2], chain[k + 1])))
         hit = sec >= 0
         sec = sec[hit]
         px, py = px[hit], py[hit]

@@ -290,11 +290,6 @@ def _failed_cell(params: Params, budget: int, error: str) -> ClassRecord:
 # (chunk, lanes) buffers of one kernel call.
 _CHUNK = 128
 _BLOCK = 2048  # cells per kernel call
-# From this many cells on, the rotation block's running sum adds row by
-# row: ``np.add.accumulate`` down axis 0 walks each lane with a stride
-# and is several times slower on wide chunks, faster on narrow ones
-# (crossover near 190 lanes).  Both add in the same order.
-_ROW_SUM_LANES = 256
 
 
 def _orbit_stats(cells: list[Params], budget: int,
@@ -341,7 +336,6 @@ def _orbit_stats(cells: list[Params], budget: int,
     two_pi, half_pi, three_half_pi = TWO_PI, 0.5 * math.pi, 1.5 * math.pi
     angle = np.zeros((chunk + 1, n))  # row 0: the last angle so far
     turns = np.zeros((chunk + 1, n))  # row 0 carries the running total
-    turn_rows = list(turns)
 
     # norm runs: running max/min ratio and axis proximity, frozen per
     # lane at the first ratio above cap or the first overflow
@@ -368,11 +362,7 @@ def _orbit_stats(cells: list[Params], budget: int,
         np.add(d, two_pi, out=d, where=wrap_up)
         np.subtract(d, two_pi, out=d, where=wrap_down)
         np.divide(d, two_pi, out=d)
-        if n >= _ROW_SUM_LANES:
-            for prev, row in zip(turn_rows[:m], turn_rows[1:m + 1]):
-                np.add(prev, row, out=row)
-        else:
-            np.add.accumulate(acc, axis=0, out=acc)
+        np.add.accumulate(acc, axis=0, out=acc)
         acc[0] = acc[m]
         t[0] = t[m]
 

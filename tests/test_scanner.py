@@ -360,15 +360,6 @@ def test_kernel_matches_reference_kernel(grid, budget, half_plane, cap):
     _assert_kernel_matches_reference(cells, budget, cap)
 
 
-def test_kernel_row_sum_matches_reference_kernel():
-    # wide enough for the rotation block's row-by-row running sum
-    import pwlin.scanner as scanner_mod
-
-    cells = _batched_cells((-2.0, 2.0), (-2.0, 2.0), 17)
-    assert len(cells) >= scanner_mod._ROW_SUM_LANES
-    _assert_kernel_matches_reference(cells, 1000, 1e6)
-
-
 def _first_stop(params, start, cap, budget):
     """Step at which a norm run from ``start`` stops, and why."""
     from pwlin.core import OVERFLOW_LIMIT

@@ -16,7 +16,7 @@ import sys
 from .builder import _residual_walk, build_invariant_circle, circle_to_polyline
 from .circle import rotation_number, snap_rational
 from .core import Params
-from .errors import PwlinError
+from .errors import ArgumentError, PwlinError
 from .families import FamilyId, curve_find, verify_family
 from .output import PlotSpec, _write_svg, emit_orbit_csv, emit_scan_csv
 from .returnmap import Ray, Sector, commutator_residual, orbit_relation, return_map
@@ -190,12 +190,15 @@ def _slice_function(text: str):
         return lambda t: (t, -t)
     if s == "b=a":
         return lambda t: (t, t)
-    if s.startswith("b="):
-        const = float(s[2:])
+    if s[:2] in ("a=", "b="):
+        try:
+            const = float(s[2:])
+        except ValueError:
+            raise ArgumentError(
+                f"slice value in {text!r} is not a number") from None
+        if s[0] == "a":
+            return lambda t: (const, t)
         return lambda t: (t, const)
-    if s.startswith("a="):
-        const = float(s[2:])
-        return lambda t: (const, t)
     raise PwlinError(f"unsupported slice {text!r}; use b=-a, b=a, "
                      "b=<value> or a=<value>")
 

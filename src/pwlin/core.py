@@ -88,42 +88,40 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     (see :func:`pwlin.circle.rotation_number`).  A float start with a
     ``-0.0`` component can shift ``W`` by one.
 
-    Forward runs from finite ``mpmath.mpf`` inputs of one context are
-    stepped by :func:`walk_mpf`, bit-identical to the loop below.
+    A backward run is the forward run from the swapped start ``(y, x)``
+    with every point swapped back and the word reversed, since
+    :func:`inverse_step` is :func:`step` conjugated by the swap.  Runs
+    from finite ``mpmath.mpf`` inputs of one context are stepped by
+    :func:`walk_mpf`, bit-identical to the loop below.
 
     Raises :class:`OrbitOverflowError` carrying the step index at which
     a component escaped.
     """
     a, b = params.a, params.b
-    x, y = p0
+    back = n < 0
+    x, y = (p0[1], p0[0]) if back else p0
     limit = OVERFLOW_LIMIT
     orbit = [(x, y)]
-    signs: list[str] = []
-    if n >= 0:
-        ctx = mpf_context(a, b, x, y)
-        if ctx is not None:
-            chain = walk_mpf(a._mpf_, b._mpf_, x._mpf_, y._mpf_, n,
-                             ctx._prec_rounding, limit)
-            xs = [x, *map(ctx.make_mpf, chain[2:])]
-            orbit.extend(zip(xs[1:], xs))
-            return orbit, "".join([MINUS if v[0] else PLUS
-                                   for v in chain[1:-1]])
-        for k in range(n):
+    ctx = mpf_context(a, b, x, y)
+    if ctx is not None:
+        chain = walk_mpf(a._mpf_, b._mpf_, x._mpf_, y._mpf_, abs(n),
+                         ctx._prec_rounding, limit)
+        xs = [x, *map(ctx.make_mpf, chain[2:])]
+        orbit.extend(zip(xs[1:], xs))
+        word = "".join([MINUS if v[0] else PLUS for v in chain[1:-1]])
+    else:
+        signs: list[str] = []
+        for k in range(abs(n)):
             slope = a if x >= 0 else b
             signs.append(PLUS if x >= 0 else MINUS)
             x, y = slope * x - y, x
             if abs(x) > limit:
                 raise _escaped(k + 1)
             orbit.append((x, y))
-        return orbit, "".join(signs)
-    for k in range(-n):
-        slope = a if y >= 0 else b
-        x, y = y, slope * y - x
-        if abs(y) > limit:
-            raise _escaped(k + 1)
-        orbit.append((x, y))
-        signs.append(PLUS if x >= 0 else MINUS)
-    return orbit, "".join(reversed(signs))
+        word = "".join(signs)
+    if back:
+        return [(x, y) for y, x in orbit], word[::-1]
+    return orbit, word
 
 
 def _escaped(k: int) -> OrbitOverflowError:

@@ -13,18 +13,17 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 from .circle import angle_of, rotation_number
 from .conics import ConicClass, conic_class_of_trace
-from .core import Mat2, Params, inverse_step, iterate, step
+from .core import Mat2, Params, iterate
 from .errors import (
     ArgumentError,
     DomainError,
     NoBracketError,
-    OrbitOverflowError,
     SignConstraintError,
 )
 from .returnmap import (
@@ -34,6 +33,7 @@ from .returnmap import (
     orbit_relation,
     return_map,
 )
+from .scanner import norm_runs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -272,34 +272,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": "v1",
-            "family": self.family,
-            "a": self.a,
-            "b": self.b,
-            "relation_index": self.relation_index,
-            "regime": self.regime,
-            "rotation_closed": self.rotation_closed,
-            "rotation_winding": self.rotation_winding,
-            "winding_steps": self.winding_steps,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "spectral": None if self.spectral is None else {
-                "theta": self.spectral.theta,
-                "lambda1": self.spectral.lambda1,
-                "lambda2": self.spectral.lambda2,
-                "minimal_poly_residuals": self.spectral.minimal_poly_residuals,
-            },
-            "notes": self.notes,
-        }
+        return {**asdict(self), "schema_version": "v1", "passed": self.passed}
 
 
 def _poly_residual(coeffs: list[float], x: complex) -> float:
@@ -422,7 +395,8 @@ def verify_family(
             "orbit table starts at (0, 1): the 10-step relation runs "
             "(0,1) -> (0,-1)")
     if family is FamilyId.EX_C:
-        div = _diverges_both_ways(params)
+        runs = norm_runs(params, 100_000, 1e6)
+        div = min(runs.fwd_max, runs.bwd_max) > 1e6
         checks.append(CheckResult(
             "divergence", div, 0.0 if div else math.inf,
             "norm ratio exceeds 1e6 both ways"))
@@ -491,25 +465,6 @@ def _spectral_data(family: FamilyId, a: float,
             "a against its degree-6 integer polynomial"))
     return SpectralData(lambda1=l1, lambda2=l2,
                         minimal_poly_residuals=residuals)
-
-
-def _diverges_both_ways(params: Params, budget: int = 100_000,
-                        ratio: float = 1e6) -> bool:
-    for stepf in (step, inverse_step):
-        p = (0.0, 1.0)
-        grew = False
-        for _ in range(budget):
-            try:
-                p = stepf(params, p)
-            except OrbitOverflowError:
-                grew = True
-                break
-            if math.hypot(*p) > ratio:
-                grew = True
-                break
-        if not grew:
-            return False
-    return True
 
 
 def curve_find(

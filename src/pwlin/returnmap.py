@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .circle import TWO_PI, angle_of, normalize
 from .core import (
@@ -57,7 +58,8 @@ def _rel_angle(t: float, start_angle: float) -> float:
 
 @dataclass(frozen=True)
 class Ray:
-    """A direction from the origin, stored as a unit vector."""
+    """A direction from the origin, stored as a unit vector.  Its angle
+    is computed on first access and kept."""
 
     direction: Point
 
@@ -69,7 +71,7 @@ class Ray:
     def at_angle(cls, t: float) -> "Ray":
         return cls((math.cos(t), math.sin(t)))
 
-    @property
+    @cached_property
     def angle(self) -> float:
         return angle_of(self.direction)
 

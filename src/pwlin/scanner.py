@@ -5,25 +5,26 @@ be needed to promote them.  Thresholds live in :class:`ScanConfig`; the
 defaults classify every worked example and every figure parameter of
 the underlying study correctly.
 
-:func:`classify` walks one cell with scalar loops.  :func:`scan`
-evaluates all cells of a grid in one batched numpy pass over their
-orbits and then decides each cell with the same code as
-:func:`classify`; verdicts, snaps and ``periodic_q`` match per-cell
-:func:`classify`, and the float columns agree with it to 1e-12
-relative (numpy's ``arctan2``/``hypot`` against :mod:`math`'s).
+One method, :meth:`_NormRuns.fold`, reduces the norm runs chunk by
+chunk: :func:`classify` feeds it :func:`~pwlin.core.walk_chain` chunks
+of one cell, :func:`scan` the numpy lanes of all cells of a grid, and
+:func:`scan` then decides each cell with the code of :func:`classify`.
+Verdicts, snaps, ``periodic_q`` and the norm columns match per-cell
+:func:`classify` bit for bit; the rotation value agrees with it to
+1e-12 relative (numpy's ``arctan2`` against :mod:`math`'s).
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .circle import TWO_PI, RotationEstimate, rotation_number, snap_rational
-from .core import (OVERFLOW_LIMIT, Mat2, Params, Point, inverse_step,
-                   rescale_chunk, step, word_matrix)
+from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params, Point,
+                   rescale_chunk, step, walk_chain, word_matrix)
 from .errors import ArgumentError, DomainError, OrbitOverflowError, PwlinError
 
 
@@ -64,12 +65,7 @@ class Evidence:
     radius_ratio: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "norm_growth": self.norm_growth,
-            "near_return_residual": self.near_return_residual,
-            "period_matrix_residual": self.period_matrix_residual,
-            "radius_ratio": self.radius_ratio,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -109,34 +105,6 @@ class _NormStats(NamedTuple):
     bwd_max: float
 
 
-def _norm_run(params: Params, forward: bool, budget: int, cap: float):
-    """Track norm extremes and axis proximity of the orbit of (0, 1).
-
-    Stops early once the norm exceeds ``cap`` times the starting norm.
-    Returns (max_ratio, min_ratio, min |x|/||v||).
-    """
-    p: Point = (0.0, 1.0)
-    stepf = step if forward else inverse_step
-    mx = mn = 1.0
-    near = math.inf
-    for _ in range(budget):
-        try:
-            p = stepf(params, p)
-        except OrbitOverflowError:
-            return math.inf, mn, near
-        r = math.hypot(*p)
-        if r > mx:
-            mx = r
-        elif r < mn:
-            mn = r
-        prox = abs(p[0]) / r
-        if prox < near:
-            near = prox
-        if mx > cap:
-            break
-    return mx, mn, near
-
-
 #: Smallest step budget :func:`classify` accepts.
 MIN_BUDGET = 1000
 _BUDGET_ERROR = f"budget must be at least {MIN_BUDGET}"
@@ -148,7 +116,9 @@ def classify(params: Params, budget: int = 100_000,
 
     Order of tests: divergence (norm growth in both time directions),
     then a one-period cocycle test when the rotation estimate snaps to
-    a rational, then the bounded-orbit (circle) heuristic.  Raises
+    a rational, then the bounded-orbit (circle) heuristic.  The norm
+    runs come from :func:`norm_runs`, the rotation estimate from
+    :func:`~pwlin.circle.rotation_number`.  Raises
     :class:`DomainError` for a non-finite slope and
     :class:`OrbitOverflowError` when the rotation estimate is not
     finite.
@@ -159,11 +129,8 @@ def classify(params: Params, budget: int = 100_000,
         raise DomainError(
             f"slopes must be finite, got a={params.a!r}, b={params.b!r}")
     est = rotation_number(params, (1.0, 0.0), budget)
-    fwd_max, fwd_min, near = _norm_run(params, True, budget,
-                                       config.divergence_ratio)
-    bwd_max, _, _ = _norm_run(params, False, budget, config.divergence_ratio)
-    return _decide(params, est, _NormStats(fwd_max, fwd_min, near, bwd_max),
-                   config)
+    return _decide(params, est,
+                   norm_runs(params, budget, config.divergence_ratio), config)
 
 
 def _decide(params: Params, est: RotationEstimate, stats: _NormStats,
@@ -297,27 +264,11 @@ def _orbit_stats(cells: list[Params], budget: int,
     """Rotation estimate from (1, 0) and norm runs of (0, 1) for many
     cells, as :func:`classify` computes them one cell at a time.
 
-    Each cell has two lanes: lanes ``[:n]`` follow the orbit of (1, 0),
-    lanes ``[n:]`` the orbit of (0, 1).
-
-    The backward orbit of (0, 1) is the (1, 0) lane with x and y
-    swapped (``inverse_step`` is ``step`` conjugated by the swap), so
-    the (1, 0) lanes give both the rotation sum and the backward norm
-    run.  Each step stores the new x into a chunk buffer; the previous
-    row is y.  Per chunk, angles are summed in the order of the scalar
-    loop, and lanes are rescaled by exact powers of two.
-
-    The norm runs work in buffer scale: a live lane compares its
-    chunk's largest norm and |x| with ``cap`` and ``OVERFLOW_LIMIT``
-    scaled by its own ``2**-expo``, and only its chunk max and min are
-    scaled back.  The comparison is exact: expo is 0 in the first chunk,
-    and after it a live lane's ``2**expo`` is at most twice values it
-    has seen below both limits, so the scaled limits are normal floats
-    (or inf where the true ones are beyond any buffer value).  Scaling
-    by a power of two is monotone, so it commutes with max and min bit
-    for bit.
-    Lanes that stop inside a chunk are cut at their stopping row; the
-    rest take whole-chunk extremes from :func:`_norm_extremes`.
+    Each cell has two lanes, laid out as in :class:`_NormRuns`: the
+    (1, 0) lanes give both the rotation sum and the backward norm run.
+    Each step stores the new x into a chunk buffer; the previous row is
+    y.  Per chunk, angles are summed in the order of the scalar loop,
+    and lanes are rescaled by exact powers of two.
     """
     n = len(cells)
     a = np.array([c.a for c in cells], dtype=float)
@@ -331,16 +282,12 @@ def _orbit_stats(cells: list[Params], budget: int,
     y = np.repeat([0.0, 1.0], n)
     expo = np.zeros(2 * n, dtype=np.int64)  # true lane = buffer * 2**expo
     nonneg = np.empty(2 * n, dtype=bool)
-    row_no = np.arange(chunk)[:, None]
 
     two_pi, half_pi, three_half_pi = TWO_PI, 0.5 * math.pi, 1.5 * math.pi
     angle = np.zeros((chunk + 1, n))  # row 0: the last angle so far
     turns = np.zeros((chunk + 1, n))  # row 0 carries the running total
 
-    # norm runs: running max/min ratio and axis proximity, frozen per
-    # lane at the first ratio above cap or the first overflow
-    mx, mn, near = np.ones(2 * n), np.ones(2 * n), np.full(2 * n, math.inf)
-    live = np.ones(2 * n, dtype=bool)
+    runs = _NormRuns(n, chunk, cap)
 
     done = 0
     while done < budget:
@@ -366,36 +313,7 @@ def _orbit_stats(cells: list[Params], budget: int,
         acc[0] = acc[m]
         t[0] = t[m]
 
-        idx = np.flatnonzero(live)
-        if idx.size:
-            cols = slice(None) if idx.size == live.size else idx
-            xv, yv, e = xs[:, cols], ys[:, cols], expo[cols]
-            hi, lo, prox = _norm_extremes(xv, yv)
-            with np.errstate(over="ignore"):
-                cap_e = np.ldexp(cap, -e)
-                limit_e = np.ldexp(OVERFLOW_LIMIT, -e)
-            hit = np.flatnonzero(
-                (hi > cap_e) | (np.abs(xv).max(axis=0) > limit_e))
-            if hit.size:
-                # live lanes have a running max <= cap (the first step's
-                # norm is at least the starting 1), so the first norm
-                # above cap is where the running max passes it; a cap
-                # step is counted, an overflow step is not
-                hk, ak = np.hypot(xv[:, hit], yv[:, hit]), np.abs(xv[:, hit])
-                escaped = ak > limit_e[hit]
-                stop = escaped | (hk > cap_e[hit])
-                first = stop.argmax(axis=0)
-                overflow = escaped[first, np.arange(hit.size)]
-                seen = row_no[:m] < first + 1 - overflow
-                hi[hit] = np.where(seen, hk, -math.inf).max(axis=0)
-                hi[hit[overflow]] = math.inf
-                lo[hit] = np.where(seen, hk, math.inf).min(axis=0)
-                prox[hit] = np.where(seen, ak / hk, math.inf).min(axis=0)
-                live[idx[hit]] = False
-            with np.errstate(over="ignore"):
-                mx[cols] = np.maximum(mx[cols], np.ldexp(hi, e))
-            mn[cols] = np.minimum(mn[cols], np.ldexp(lo, e))
-            near[cols] = np.minimum(near[cols], prox)
+        runs.fold(xs, ys, expo)
 
         _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
         y = np.ldexp(y, -e)
@@ -403,11 +321,131 @@ def _orbit_stats(cells: list[Params], budget: int,
         expo += e
         done += m
 
-    values = (turns[0] / budget).tolist()
-    mx, mn, near = mx.tolist(), mn.tolist(), near.tolist()
-    return [(RotationEstimate(values[i], budget, 1.0 / budget),
-             _NormStats(mx[n + i], mn[n + i], near[n + i], mx[i]))
-            for i in range(n)]
+    return [(RotationEstimate(value, budget, 1.0 / budget), stats)
+            for value, stats in zip((turns[0] / budget).tolist(),
+                                    runs.stats())]
+
+
+class _NormRuns:
+    """Norm runs of the orbit of (0, 1) of ``n`` cells, forward and
+    backward, folded in one chunk at a time.
+
+    Lanes ``[:n]`` follow the orbit of (1, 0), which with x and y
+    swapped is the backward orbit of (0, 1) (``inverse_step`` is
+    ``step`` conjugated by the swap); lanes ``[n:]`` follow the orbit
+    of (0, 1).  Per lane: ``mx`` and ``mn``, the running max and min
+    norm ratio, and ``near``, the least ``|x| / ||v||``.  A run stops
+    (``live`` turns False) at its first norm above ``cap``, which is
+    counted, or at its first ``|x|`` above ``OVERFLOW_LIMIT``, which is
+    not and sets its max to inf.
+    """
+
+    def __init__(self, n: int, rows: int, cap: float):
+        self.cap = cap
+        self.mx, self.mn = np.ones(2 * n), np.ones(2 * n)
+        self.near = np.full(2 * n, math.inf)
+        self.live = np.ones(2 * n, dtype=bool)
+        # holds the live columns of each chunk: a fresh copy per chunk
+        # made the allocator hand its pages back and fault them in again
+        self._work = np.empty((2, rows * 2 * n))
+
+    def stats(self) -> list[_NormStats]:
+        """Each cell's statistics, as plain floats."""
+        n = self.live.size // 2
+        mx, mn, near = self.mx.tolist(), self.mn.tolist(), self.near.tolist()
+        return [_NormStats(mx[n + i], mn[n + i], near[n + i], mx[i])
+                for i in range(n)]
+
+    def fold(self, xs, ys, expo) -> None:
+        """Fold in one chunk: ``(m, lanes)`` arrays of orbit points in
+        buffer scale (the true point is the buffer point times
+        ``2**expo``), ``m`` at most ``rows``.
+
+        A live lane compares its chunk's largest norm and |x| with
+        ``cap`` and ``OVERFLOW_LIMIT`` scaled by its own ``2**-expo``,
+        and only its chunk max and min are scaled back.  The comparison
+        is exact: expo is 0 in the first chunk, and after it a live
+        lane's ``2**expo`` is at most twice values it has seen below
+        both limits, so the scaled limits are normal floats (or inf
+        where the true ones are beyond any buffer value).  Scaling by a
+        power of two is monotone, so it commutes with max and min bit
+        for bit.  Lanes that stop inside the chunk are cut at their
+        stopping row; the rest take whole-chunk extremes from
+        :func:`_norm_extremes`.
+        """
+        live = self.live
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            return
+        if idx.size == live.size:
+            cols, xv, yv = slice(None), xs, ys
+        else:
+            cols, shape = idx, (xs.shape[0], idx.size)
+            size = shape[0] * shape[1]
+            xv = np.take(xs, idx, axis=1, mode="clip",
+                         out=self._work[0, :size].reshape(shape))
+            yv = np.take(ys, idx, axis=1, mode="clip",
+                         out=self._work[1, :size].reshape(shape))
+        e = expo[cols]
+        hi, lo, prox = _norm_extremes(xv, yv)
+        with np.errstate(over="ignore"):
+            cap_e = np.ldexp(self.cap, -e)
+            limit_e = np.ldexp(OVERFLOW_LIMIT, -e)
+        hit = np.flatnonzero((hi > cap_e) | (np.abs(xv).max(axis=0) > limit_e))
+        if hit.size:
+            # live lanes have a running max <= cap (the first step's norm
+            # is at least the starting 1), so the first norm above cap is
+            # where the running max passes it; a cap step is counted, an
+            # overflow step is not
+            hk, ak = np.hypot(xv[:, hit], yv[:, hit]), np.abs(xv[:, hit])
+            escaped = ak > limit_e[hit]
+            stop = escaped | (hk > cap_e[hit])
+            first = stop.argmax(axis=0)
+            overflow = escaped[first, np.arange(hit.size)]
+            seen = np.arange(xs.shape[0])[:, None] < first + 1 - overflow
+            hi[hit] = np.where(seen, hk, -math.inf).max(axis=0)
+            hi[hit[overflow]] = math.inf
+            lo[hit] = np.where(seen, hk, math.inf).min(axis=0)
+            prox[hit] = np.where(seen, ak / hk, math.inf).min(axis=0)
+            live[idx[hit]] = False
+        with np.errstate(over="ignore"):
+            self.mx[cols] = np.maximum(self.mx[cols], np.ldexp(hi, e))
+        self.mn[cols] = np.minimum(self.mn[cols], np.ldexp(lo, e))
+        self.near[cols] = np.minimum(self.near[cols], prox)
+
+
+def norm_runs(params: Params, budget: int, cap: float) -> _NormStats:
+    """Norm runs of the orbit of (0, 1) of one cell, forward and
+    backward, as :func:`_orbit_stats` computes them for a grid.
+
+    The two lanes of :class:`_NormRuns` are walked with
+    :func:`~pwlin.core.walk_chain` while they are live, in chunks as
+    long as :func:`~pwlin.core.rescale_chunk` allows for the slopes'
+    float values (so mpf slopes get long chunks too), one step where it
+    rejects them, and rescaled by a power of two between chunks.
+    """
+    a, b = params.a, params.b
+    chunk = rescale_chunk((float(a), float(b)), GROWTH_BITS) or 1
+    starts = [(1.0, 0.0), (0.0, 1.0)]
+    buf = np.empty((chunk + 1, 2))
+    expo = np.zeros(2, dtype=np.int64)
+    runs = _NormRuns(1, chunk, cap)
+    done = 0
+    # one-step chunks of steep slopes may overflow x*x in _norm_extremes
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < budget and runs.live.any():
+            m = min(chunk, budget - done)
+            shift = np.zeros(2, dtype=np.int64)
+            for j in np.flatnonzero(runs.live).tolist():
+                chain = walk_chain(a, b, *starts[j], m)
+                buf[:m + 1, j] = chain[1:]
+                y, x = chain[-2:]
+                e = shift[j] = math.frexp(max(abs(x), abs(y)))[1]
+                starts[j] = (math.ldexp(x, -e), math.ldexp(y, -e))
+            runs.fold(buf[1:m + 1], buf[:m], expo)
+            expo += shift
+            done += m
+    return runs.stats()[0]
 
 
 #: Relative slack of the candidate filters of :func:`_norm_extremes`,
@@ -431,7 +469,9 @@ def _norm_extremes(x, y):
     ``q`` up to ``_TINY_Q`` is a candidate too: its ``|x| / h`` is far
     below that of any ``q`` above ``_TINY_Q``.  Needs finite elements
     with ``max(|x|, |y|)`` in ``[2**-401, 2**401]``, as the kernel's
-    chunks keep them (see ``rescale_chunk``).
+    chunks keep them (see ``rescale_chunk``), or a single row: there
+    every element is a candidate, since ``s`` (inf where ``x*x``
+    overflows) is its own column extreme.
     """
     xx = x * x
     s = y * y

@@ -158,9 +158,13 @@ def test_trace_curve(capsys):
 
 
 def test_trace_curve_bad_slice(capsys):
-    code = cli(["trace-curve", "--k", "-8", "--slice", "nonsense",
-                "--bracket", "1.0", "1.2"])
-    assert code == 1
+    # an unknown form and unparseable values are usage errors, not
+    # tracebacks
+    for text in ("nonsense", "b=abc", "a=1.2.3"):
+        code = cli(["trace-curve", "--k", "-8", "--slice", text,
+                    "--bracket", "1.0", "1.2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exit_code(capsys):

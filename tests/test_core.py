@@ -365,6 +365,27 @@ def test_iterate_mpf_walker_matches_generic_loop(prec, slopes, start, n):
     assert mpmath.mp.prec == before
 
 
+_signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+       st.one_of(_signed_zeros, _coords), st.one_of(_signed_zeros, _coords),
+       st.integers(0, 300), st.sampled_from([None, 53, 113]))
+def test_iterate_backward_matches_inverse_step_loop(a, b, x, y, n, prec):
+    # backward runs are swapped forward runs; the per-step inverse loop
+    # they replaced must agree on every point, the word and the escape
+    # index, for floats (-0.0 starts included) and for mpf
+    mpmath = pytest.importorskip("mpmath")
+    from oracles import iterate_backward
+
+    with mpmath.workprec(prec or 53):
+        conv = float if prec is None else mpmath.mpf
+        params, p0 = Params(conv(a), conv(b)), (conv(x), conv(y))
+        got = _outcome(iterate, params, p0, -n)
+        want = _outcome(iterate_backward, params, p0, n)
+        assert repr(got) == repr(want)  # tells -0.0 from 0.0
+
+
 def test_iterate_generic_types_skip_the_walker(monkeypatch):
     from fractions import Fraction
 

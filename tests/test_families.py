@@ -14,7 +14,8 @@ from pwlin import (
     verify_family,
 )
 from pwlin.errors import DomainError, NoBracketError, SignConstraintError
-from pwlin.families import _diverges_both_ways, piece_matrices, trace_formula
+from pwlin.families import piece_matrices, trace_formula
+from pwlin.scanner import norm_runs
 
 from conftest import (
     A_SPECIAL,
@@ -25,6 +26,7 @@ from conftest import (
     C_SPECIAL,
     sextic_root_oracle,
 )
+from oracles import diverges_both_ways
 
 
 # --------------------------- family curves ---------------------------
@@ -215,7 +217,37 @@ def test_divergence_check_surfaces_bugs():
     # only an orbit overflow counts as divergence; a TypeError from
     # malformed slopes propagates instead of reading as "diverges"
     with pytest.raises(TypeError):
-        _diverges_both_ways(Params(None, None), budget=10)
+        norm_runs(Params(None, None), 10, 1e6)
+
+
+@pytest.mark.parametrize("family, a", [
+    (FamilyId.EX_C, 1.02), (FamilyId.EX_C, 1.2), (FamilyId.EX_C, C_SPECIAL),
+    (FamilyId.EX_C, 1.39), (FamilyId.EX_A, 1.2), (FamilyId.EX_B, 0.5),
+])
+def test_divergence_check_matches_scalar_oracle(family, a):
+    # verify_family's divergence check against the per-step loop it
+    # replaced: both directions pass 1e6 (or overflow) within 1e5 steps
+    params = Params(a, family_b(family, a))
+    runs = norm_runs(params, 100_000, 1e6)
+    assert (min(runs.fwd_max, runs.bwd_max) > 1e6) == diverges_both_ways(
+        params) == (family is FamilyId.EX_C)
+    if family is FamilyId.EX_C:
+        report = verify_family(family, a, winding_steps=20_000)
+        assert {c.name: c for c in report.checks}["divergence"].passed
+
+
+def test_divergence_check_fails_when_one_direction_stays_bounded(monkeypatch):
+    import pwlin.families as families_mod
+    from pwlin.scanner import _NormStats
+
+    # forward growth alone is not divergence
+    bounded_backward = _NormStats(1e9, 0.5, 0.1, 2.0)
+    monkeypatch.setattr(families_mod, "norm_runs",
+                        lambda params, budget, cap: bounded_backward)
+    report = verify_family(FamilyId.EX_C, 1.2, winding_steps=20_000)
+    check = {c.name: c for c in report.checks}["divergence"]
+    assert not check.passed and check.residual == math.inf
+    assert not report.passed
 
 
 def test_verify_reports_failure_not_raise():

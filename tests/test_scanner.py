@@ -131,13 +131,19 @@ def _same_float(x, y):
     return math.isclose(x, y, rel_tol=1e-12)
 
 
+#: Record fields that scan and classify reduce with the same method.
+_NORM_FIELDS = ("norm_growth", "near_return_residual", "radius_ratio")
+
+
 def _assert_matches_classify(records, budget, config=ScanConfig()):
     for rec in records:
         got = rec.to_dict()
         want = _classify_cell(rec.params, budget, config)
         assert got.keys() == want.keys()
         for key, value in want.items():
-            if isinstance(value, float):
+            if key in _NORM_FIELDS and value is not None:
+                assert _identical(got[key], value), (rec.params, key)
+            elif isinstance(value, float):
                 assert _same_float(got[key], value), (rec.params, key)
             else:
                 assert got[key] == value, (rec.params, key)
@@ -445,6 +451,51 @@ def test_multi_block_scan_matches_reference_kernel(monkeypatch):
                 assert _identical(got[key], value), (want["a"], want["b"], key)
             else:
                 assert got[key] == value
+
+
+def _within_ulps(x, y, n=4):
+    return x == y or (math.isfinite(x) and math.isfinite(y) and
+                      abs(x - y) <= n * math.ulp(max(abs(x), abs(y))))
+
+
+_HUGE_SLOPES = st.sampled_from([2.0 ** 399, 1e120, 1e200, 1e300, 1.5e308,
+                                -2.0 ** 399, -1e200, -1.5e308])
+
+
+@settings(max_examples=200)
+@given(a=st.one_of(st.floats(-2.5, 2.5), _HUGE_SLOPES),
+       b=st.one_of(st.floats(-2.5, 2.5), _HUGE_SLOPES),
+       cap=st.sampled_from([0.5, 1e6, math.inf]))
+def test_norm_runs_match_scalar_oracle(a, b, cap):
+    # the walk_chain-fed norm runs against the per-step loop that
+    # classify ran before; numpy's hypot may differ from math's by ulps
+    from pwlin.scanner import norm_runs
+
+    from oracles import norm_run
+
+    params = Params(a, b)
+    got = norm_runs(params, 700, cap)
+    fwd_max, fwd_min, near = norm_run(params, True, 700, cap)
+    bwd_max, _, _ = norm_run(params, False, 700, cap)
+    for value in got:
+        assert type(value) is float
+    for field, v, v0 in zip(got._fields, got,
+                            (fwd_max, fwd_min, near, bwd_max)):
+        assert _within_ulps(v, v0), (field, v, v0)
+
+
+def test_norm_runs_mpf_slopes_match_float():
+    # mpf slopes are walked in the float chunks; at 53 bits mpf
+    # arithmetic is double arithmetic, so the statistics are the same
+    mpmath = pytest.importorskip("mpmath")
+    from pwlin.scanner import norm_runs
+
+    for a, b, cap in [(1.2, -1.3, 1e6), (2.3, 2.3, math.inf),
+                      (0.4, -2.1, 0.5), (-1.5, 2.5, 1e6)]:
+        want = norm_runs(Params(a, b), 5000, cap)
+        with mpmath.workprec(53):
+            got = norm_runs(Params(mpmath.mpf(a), mpmath.mpf(b)), 5000, cap)
+        assert got == want, (a, b, cap)
 
 
 def _brute_norm_extremes(x, y):

@@ -276,11 +276,14 @@ def snap_rational(est: RotationEstimate, q_max: int) -> Fraction | None:
     estimation error (within twice the bound) and is a legitimate
     approximation of its quality class (within 1/(2 q^2)), provided the
     run was long enough to resolve denominator q (q^2 <= steps / 4).
-    A snap is only a candidate; periodicity needs the matrix test.
+    A snap is only a candidate; periodicity needs the matrix test.  A
+    non-finite estimate has none.
     """
     if q_max < 1:
         raise ArgumentError("q_max must be >= 1")
     value = float(est.value)
+    if not math.isfinite(value):
+        return None
     tol = 2.0 * est.error_bound
     for frac in convergents(value, q_max):
         q = frac.denominator

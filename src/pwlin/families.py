@@ -480,10 +480,18 @@ def curve_find(
     orbit magnitude, which makes it scale-free and keeps bisection
     stable across itinerary kinks.  At the root the y-component must be
     negative (the orbit lands on (0, -1)); the relation lam = -1 is
-    confirmed by the generic axis scan before returning.
+    confirmed by the generic axis scan before returning.  ``k = 0``, a
+    nan or negative ``tol`` and a bracket other than finite ``lo < hi``
+    raise :class:`ArgumentError`.
     """
+    lo, hi = bracket
     if k == 0:
         raise ArgumentError("k must be nonzero")
+    if not tol >= 0.0:
+        raise ArgumentError(f"tol must be a number >= 0, got {tol!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ArgumentError(
+            f"bracket must be two finite numbers lo < hi, got ({lo!r}, {hi!r})")
 
     def objective(t: float) -> tuple[float, float]:
         a, b = slice_fn(t)
@@ -492,7 +500,6 @@ def curve_find(
         r = math.hypot(x, y)
         return x / r, y / r
 
-    lo, hi = bracket
     flo, _ = objective(lo)
     fhi, _ = objective(hi)
     if flo == 0.0:
@@ -507,7 +514,7 @@ def curve_find(
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             fmid, _ = objective(mid)
-            if fmid == 0.0:
+            if fmid == 0.0 or not lo < mid < hi:  # a root, or no float between
                 lo = hi = mid
                 break
             if (fmid > 0.0) == (flo > 0.0):

@@ -11,24 +11,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .circle import TWO_PI, angle_of, normalize
-from .core import (
-    OVERFLOW_LIMIT,
-    Mat2,
-    Params,
-    Point,
-    inverse_step,
-    iterate,
-    step,
-    word_matrix,
-)
-from .errors import (
-    ArgumentError,
-    DegenerateError,
-    InconsistentPieceError,
-    NoReturnError,
-    OrbitOverflowError,
-)
+from .core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Params, Point, iterate,
+                   rescale_chunk, walk_chain, word_matrix)
+from .errors import (ArgumentError, DegenerateError, InconsistentPieceError,
+                     NoReturnError, OrbitOverflowError)
 
 #: Rays closer than this (radians) are treated as the same direction.
 RAY_DEDUP_TOL = 1e-11
@@ -54,6 +43,31 @@ def _rel_angle(t: float, start_angle: float) -> float:
     if rel < 0.0:
         rel += TWO_PI
     return rel
+
+
+#: Orbit searches walk :func:`~pwlin.core.walk_chain` chunks of
+#: FIRST_CHUNK steps, doubling up to MAX_CHUNK: most end within a few
+#: steps, and one that runs out its budget pays for few chunks.
+FIRST_CHUNK, MAX_CHUNK = 16, 1024
+
+
+def _chunks(total: int, cap: int):
+    """(steps walked, next chunk's length) over ``total`` steps."""
+    done, m = 0, FIRST_CHUNK
+    while done < total:
+        m = min(m, cap, total - done)
+        yield done, m
+        done += m
+        m *= 2
+
+
+def _first_escape(values: list, lo: int) -> int | None:
+    """Smallest k >= lo with ``|values[k]| > OVERFLOW_LIMIT`` (never a
+    nan, as in the per-step overflow test), or None."""
+    rest, limit = values[lo:], OVERFLOW_LIMIT
+    if max(rest) <= limit and min(rest) >= -limit:  # False when rest[0] is nan
+        return None
+    return next((k for k, v in enumerate(rest, lo) if abs(v) > limit), None)
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,18 @@ class Sector:
 
     def contains(self, p: Point) -> bool:
         return self.contains_angle(angle_of(p))
+
+    def first_inside(self, xs, ys, lo: int, hi: int) -> int | None:
+        """Smallest k in [lo, hi) with the float point ``(xs[k], ys[k])``
+        inside, or None.  Each test is :meth:`contains`'s arithmetic:
+        ``math.atan2`` per point, the exact rest on the range at once."""
+        t = np.fromiter(map(math.atan2, ys[lo:hi], xs[lo:hi]), float)
+        t[t < 0.0] += TWO_PI
+        t[t >= TWO_PI] = 0.0
+        rel = np.fmod(t - self.start_angle, TWO_PI)
+        rel[rel < 0.0] += TWO_PI
+        hit = np.flatnonzero(rel < self.width)
+        return lo + int(hit[0]) if hit.size else None
 
     def contains_closure(self, p: Point, slack: float = 1e-9) -> bool:
         """Membership up to angular slack on both boundaries."""
@@ -165,86 +191,64 @@ class OrbitRelation:
         return abs(self.n)
 
 
-def first_preimage_in(
-    params: Params,
-    target: Point,
-    sector: Sector,
-    i_min: int = 0,
-    max_iter: int = 10000,
-) -> tuple[Ray, int] | None:
+def first_preimage_in(params: Params, target: Point, sector: Sector,
+                      i_min: int = 0, max_iter: int = 10000
+                      ) -> tuple[Ray, int] | None:
     """Smallest i >= i_min with T^(-i)(target) pointing into the sector.
 
     Returns the (ray, i) pair, or None when the budget runs out first.
-    Overflow of the backward orbit propagates as OrbitOverflowError.
-
-    The backward orbit is walked in one float loop with the sector's
-    start angle and width read once.  Each step, overflow test and
-    membership test is the arithmetic of ``inverse_step`` and
-    ``Sector.contains``, so the result is bit-identical to calling them
-    per step.
+    Overflow raises OrbitOverflowError: the step out of point i (taken
+    for i = max_iter too) fails when point i or i + 1 has a y beyond
+    ``OVERFLOW_LIMIT``.  ``inverse_step`` is ``step`` conjugated by the
+    swap, so the backward orbit is the swapped target's
+    :func:`~pwlin.core.walk_chain`, read back swapped and tested with
+    :meth:`Sector.first_inside`: bit-identical to ``inverse_step`` and
+    ``Sector.contains`` per step.
     """
     if target[0] == 0 and target[1] == 0:
         raise DegenerateError("target must be nonzero")
-    a, b = params.a, params.b
-    start_angle = sector.start_angle
-    width = sector.width
-    atan2 = math.atan2
-    fmod = math.fmod
     x, y = target
-    for i in range(max_iter + 1):
-        if i >= i_min:
-            t = atan2(y, x)
-            if t < 0.0:
-                t += TWO_PI
-            if t >= TWO_PI:
-                t = 0.0
-            rel = fmod(t - start_angle, TWO_PI)
-            if rel < 0.0:
-                rel += TWO_PI
-            if rel < width:
-                return Ray.through((x, y)), i
-        ny = (a if y >= 0 else b) * y - x
-        if abs(ny) > OVERFLOW_LIMIT or abs(y) > OVERFLOW_LIMIT:
+    for lo, m in _chunks(max_iter + 1, MAX_CHUNK):
+        # point lo + k is (part[k], part[k + 1]), for k = 0..m
+        part = walk_chain(params.a, params.b, y, x, m)
+        esc = _first_escape(part, 1)
+        end = m if esc is None else max(esc - 2, 0) + 1
+        k = sector.first_inside(part, part[1:], max(i_min - lo, 0), end)
+        if k is not None:
+            return Ray.through((part[k], part[k + 1])), lo + k
+        if esc is not None:
             raise OrbitOverflowError(
                 f"orbit component exceeded {OVERFLOW_LIMIT:g}")
-        x, y = y, ny
+        x, y = part[m], part[m + 1]
     return None
 
 
 def _first_return(params: Params, u: Point, sector: Sector, budget: int):
     """Iterate a direction until its ray re-enters the sector.
 
-    Returns (word, steps).  The point is renormalized each step (signs
-    and angles are scale-invariant), so only genuine degeneration can
-    overflow; that and budget exhaustion both mean "no return seen".
+    Returns (word, steps).  Signs and angles are invariant under
+    positive scaling, so the orbit is walked in
+    :func:`~pwlin.core.rescale_chunk` chunks, rescaled by a power of two
+    between them.  A zero or non-finite point comes only from such a
+    start (and stays so) or slope (one-step chunks), so the chunk's last
+    point shows it.  It and budget exhaustion mean "no return seen".
     """
-    x, y = u
     a, b = params.a, params.b
-    start_angle = sector.start_angle
-    width = sector.width
-    atan2 = math.atan2
-    fmod = math.fmod
-    signs: list[str] = []
-    for k in range(1, budget + 1):
-        signs.append("+" if x >= 0.0 else "-")
-        x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
-        r = math.hypot(x, y)
-        if r == 0.0 or not math.isfinite(r):
+    x, y = u
+    xs: list[float] = []  # x before each step: the signs of the word
+    for done, m in _chunks(budget, rescale_chunk((a, b), MAX_CHUNK) or 1):
+        e = math.frexp(abs(x) + abs(y))[1]
+        # point k of the chunk, step done + k, is (chain[k + 1], chain[k])
+        chain = walk_chain(a, b, math.ldexp(x, -e), math.ldexp(y, -e), m)
+        y, x = chain[-2:]
+        if not 0.0 < abs(x) + abs(y) < math.inf:
             raise NoReturnError("orbit degenerated before returning")
-        x /= r
-        y /= r
-        t = atan2(y, x)
-        if t < 0.0:
-            t += TWO_PI
-        if t >= TWO_PI:
-            t = 0.0
-        rel = fmod(t - start_angle, TWO_PI)
-        if rel < 0.0:
-            rel += TWO_PI
-        if rel < width:
-            return "".join(signs), k
-    raise NoReturnError(
-        f"no return to the sector within {budget} steps")
+        k = sector.first_inside(chain[1:], chain, 1, m + 1)
+        if k is not None:
+            xs += chain[1:k + 1]
+            return "".join(PLUS if v >= 0.0 else MINUS for v in xs), done + k
+        xs += chain[1:m + 1]
+    raise NoReturnError(f"no return to the sector within {budget} steps")
 
 
 def return_map(
@@ -266,12 +270,9 @@ def return_map(
     exact known directions (deterministic boundary assignment).
     """
     candidates: list[tuple[Ray, int]] = []
-    for target, i_min in (
-        ((0.0, 1.0), 0),
-        ((0.0, -1.0), 0),
-        (sector.start.direction, 1),
-        (sector.end.direction, 0),
-    ):
+    for target, i_min in (((0.0, 1.0), 0), ((0.0, -1.0), 0),
+                          (sector.start.direction, 1),
+                          (sector.end.direction, 0)):
         try:
             hit = first_preimage_in(params, target, sector, i_min, budget)
         except OrbitOverflowError:
@@ -295,7 +296,9 @@ def return_map(
     subsectors = sector.subdivide(
         [_mod_two_pi(sector.start_angle + r) for r in sorted(interior)])
 
-    probed: list[tuple[Sector, str, int]] = []
+    # adjacent subsectors that carry the same word merge: spurious
+    # candidates (e.g. deep preimages) do not create new pieces
+    merged: list[tuple[Sector, str, int]] = []
     for sub in subsectors:
         words = []
         for frac in (0.25, 0.5, 0.75):
@@ -306,22 +309,13 @@ def return_map(
             raise InconsistentPieceError(
                 f"itinerary changes inside subsector at "
                 f"[{sub.start_angle:.12f}, {sub.start_angle + sub.width:.12f})")
-        probed.append((sub, words[0][0], words[0][1]))
-
-    # merge adjacent subsectors that turned out to carry the same word:
-    # spurious candidates (e.g. deep preimages) do not create new pieces
-    merged: list[tuple[Sector, str, int]] = []
-    for sub, word, steps in probed:
+        word, steps = words[0]
         if merged and merged[-1][1] == word:
-            prev = merged[-1]
-            merged[-1] = (Sector(prev[0].start, sub.end), word, steps)
-        else:
-            merged.append((sub, word, steps))
+            sub = Sector(merged.pop()[0].start, sub.end)
+        merged.append((sub, word, steps))
 
-    pieces = [
-        ReturnPiece(sub, word, word_matrix(params, word), steps)
-        for sub, word, steps in merged
-    ]
+    pieces = [ReturnPiece(sub, word, word_matrix(params, word), steps)
+              for sub, word, steps in merged]
     return ReturnMap(sector, pieces)
 
 
@@ -333,46 +327,46 @@ def commutator_residual(m1: Mat2, m2: Mat2) -> float:
     return comm / scale if scale > 0 else comm
 
 
-def orbit_relation(
-    params: Params,
-    max_iter: int = 10000,
-    tol: float = 1e-9,
-) -> OrbitRelation | None:
+def orbit_relation(params: Params, max_iter: int = 10000,
+                   tol: float = 1e-9) -> OrbitRelation | None:
     """Scan the orbit of (0, 1) for a return to the vertical axis.
 
-    Forward and backward iterates are interleaved so the smallest |n|
-    wins.  A point counts as on-axis when |x| <= tol * ||v||.  Absence
-    within the budget is a valid result (None).
+    The smallest |n| wins, forward on a tie.  A point counts as on-axis
+    when |x| <= tol * ||v||; a direction ends at its first iterate with
+    a component beyond ``OVERFLOW_LIMIT``.  Absence within the budget
+    is a valid result (None).  Both directions are
+    :func:`~pwlin.core.walk_chain` lanes: forward from (0, 1), backward
+    from the swapped start (1, 0), read back swapped.
     """
     src = (0.0, 1.0)
-    fwd: Point | None = src
-    bwd: Point | None = src
-    for k in range(1, max_iter + 1):
-        if fwd is None and bwd is None:
-            break  # both directions escaped: no further returns possible
-        for sgn in (1, -1):
-            p = fwd if sgn > 0 else bwd
-            if p is None:
-                continue
-            try:
-                p = step(params, p) if sgn > 0 else inverse_step(params, p)
-            except OrbitOverflowError:
-                if sgn > 0:
-                    fwd = None
-                else:
-                    bwd = None
-                continue
-            if sgn > 0:
-                fwd = p
+    lanes = {1: (0.0, 1.0), -1: (1.0, 0.0)}  # sign of n: walk start
+    for done, m in _chunks(max_iter, MAX_CHUNK):
+        hits = []
+        for sgn, (x, y) in list(lanes.items()):
+            chain = walk_chain(params.a, params.b, x, y, m)
+            esc = _first_escape(chain, 2)
+            end = m + 1 if esc is None else esc - 1
+            # point k of the chunk is (chain[k + 1], chain[k]), swapped
+            # back for n < 0
+            for k, p in enumerate(zip(chain[2:end + 1], chain[1:end]), 1):
+                p = p if sgn > 0 else p[::-1]
+                if abs(p[0]) <= tol * math.hypot(*p):
+                    hits.append((k, -sgn, p))  # forward wins a tie
+                    break
+            if esc is None:
+                lanes[sgn] = chain[-1], chain[-2]
             else:
-                bwd = p
-            if abs(p[0]) <= tol * math.hypot(*p):
-                lam = p[1]
-                if lam < 0 and abs(lam + 1.0) > 1000 * tol:
-                    raise DegenerateError(
-                        f"negative axis return with lam={lam!r}; "
-                        "tolerance too loose for a reliable relation")
-                return OrbitRelation(sgn * k, lam, src, p)
+                del lanes[sgn]  # escaped: no further returns this way
+        if hits:
+            k, back, p = min(hits)
+            lam = p[1]
+            if lam < 0 and abs(lam + 1.0) > 1000 * tol:
+                raise DegenerateError(
+                    f"negative axis return with lam={lam!r}; "
+                    "tolerance too loose for a reliable relation")
+            return OrbitRelation(-back * (done + k), lam, src, p)
+        if not lanes:
+            break  # both directions escaped: no further returns possible
     return None
 
 

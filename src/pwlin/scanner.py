@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .circle import TWO_PI, RotationEstimate, rotation_number, snap_rational
-from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params, Point,
-                   rescale_chunk, step, walk_chain, word_matrix)
+from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params,
+                   iterate, rescale_chunk, walk_chain, word_matrix)
 from .errors import ArgumentError, DomainError, OrbitOverflowError, PwlinError
 
 
@@ -172,21 +172,13 @@ def _decide(params: Params, est: RotationEstimate, stats: _NormStats,
 
 def _period_matrix_residual(params: Params, q: int) -> float:
     """Distance of the q-step cocycle along the orbit of (1, 0) from
-    +-identity (a snap p/q makes q steps one full angular period)."""
-    u: Point = (1.0, 0.0)
-    signs = []
-    for _ in range(q):
-        signs.append("+" if u[0] >= 0 else "-")
-        try:
-            u = step(params, u)
-        except OrbitOverflowError:
-            return math.inf
-        r = math.hypot(*u)
-        u = (u[0] / r, u[1] / r)
-    m = word_matrix(params, "".join(signs))
-    ident = Mat2.identity()
-    neg = Mat2(-1.0, 0.0, 0.0, -1.0)
-    return min(m.dist(ident), m.dist(neg))
+    +-identity (a snap p/q makes q steps one full angular period).  The
+    word is :func:`~pwlin.core.iterate`'s; an escaping orbit gives inf."""
+    try:
+        m = word_matrix(params, iterate(params, (1.0, 0.0), q)[1])
+    except OrbitOverflowError:
+        return math.inf
+    return min(m.dist(Mat2.identity()), m.dist(Mat2(-1.0, 0.0, 0.0, -1.0)))
 
 
 def scan(

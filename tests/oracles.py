@@ -5,8 +5,11 @@ replaced; the tests compare the library against them.
 """
 import math
 
-from pwlin.core import MINUS, OVERFLOW_LIMIT, PLUS, inverse_step, step
-from pwlin.errors import OrbitOverflowError
+from pwlin.circle import TWO_PI
+from pwlin.core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step, step,
+                        word_matrix)
+from pwlin.errors import DegenerateError, NoReturnError, OrbitOverflowError
+from pwlin.returnmap import OrbitRelation, Ray
 
 
 def norm_run(params, forward, budget, cap):
@@ -76,3 +79,110 @@ def iterate_backward(params, p0, n):
         orbit.append((x, y))
         signs.append(PLUS if x >= 0 else MINUS)
     return orbit, "".join(reversed(signs))
+
+
+def first_preimage_in(params, target, sector, i_min=0, max_iter=10000):
+    """:func:`pwlin.returnmap.first_preimage_in` as one float loop:
+    ``inverse_step``'s arithmetic and overflow test, then
+    ``Sector.contains``'s, inline at each step."""
+    if target[0] == 0 and target[1] == 0:
+        raise DegenerateError("target must be nonzero")
+    a, b = params.a, params.b
+    start_angle = sector.start_angle
+    width = sector.width
+    x, y = target
+    for i in range(max_iter + 1):
+        if i >= i_min and _inside(x, y, start_angle, width):
+            return Ray.through((x, y)), i
+        ny = (a if y >= 0 else b) * y - x
+        if abs(ny) > OVERFLOW_LIMIT or abs(y) > OVERFLOW_LIMIT:
+            raise OrbitOverflowError(
+                f"orbit component exceeded {OVERFLOW_LIMIT:g}")
+        x, y = y, ny
+    return None
+
+
+def first_return(params, u, sector, budget):
+    """:func:`pwlin.returnmap._first_return` with the point renormalized
+    by ``hypot`` at every step."""
+    x, y = u
+    a, b = params.a, params.b
+    start_angle = sector.start_angle
+    width = sector.width
+    signs = []
+    for k in range(1, budget + 1):
+        signs.append("+" if x >= 0.0 else "-")
+        x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
+        r = math.hypot(x, y)
+        if r == 0.0 or not math.isfinite(r):
+            raise NoReturnError("orbit degenerated before returning")
+        x /= r
+        y /= r
+        if _inside(x, y, start_angle, width):
+            return "".join(signs), k
+    raise NoReturnError(f"no return to the sector within {budget} steps")
+
+
+def _inside(x, y, start_angle, width):
+    """``Sector.contains`` on a float point, inline."""
+    t = math.atan2(y, x)
+    if t < 0.0:
+        t += TWO_PI
+    if t >= TWO_PI:
+        t = 0.0
+    rel = math.fmod(t - start_angle, TWO_PI)
+    if rel < 0.0:
+        rel += TWO_PI
+    return rel < width
+
+
+def orbit_relation(params, max_iter=10000, tol=1e-9):
+    """:func:`pwlin.returnmap.orbit_relation` with the forward and
+    backward iterates of (0, 1) interleaved, ``step`` and
+    ``inverse_step`` one call each per step."""
+    src = (0.0, 1.0)
+    fwd = bwd = src
+    for k in range(1, max_iter + 1):
+        if fwd is None and bwd is None:
+            break
+        for sgn in (1, -1):
+            p = fwd if sgn > 0 else bwd
+            if p is None:
+                continue
+            try:
+                p = step(params, p) if sgn > 0 else inverse_step(params, p)
+            except OrbitOverflowError:
+                if sgn > 0:
+                    fwd = None
+                else:
+                    bwd = None
+                continue
+            if sgn > 0:
+                fwd = p
+            else:
+                bwd = p
+            if abs(p[0]) <= tol * math.hypot(*p):
+                lam = p[1]
+                if lam < 0 and abs(lam + 1.0) > 1000 * tol:
+                    raise DegenerateError(
+                        f"negative axis return with lam={lam!r}; "
+                        "tolerance too loose for a reliable relation")
+                return OrbitRelation(sgn * k, lam, src, p)
+    return None
+
+
+def period_matrix_residual(params, q):
+    """:func:`pwlin.scanner._period_matrix_residual` with the word read
+    off the orbit of (1, 0) renormalized by ``hypot`` at every step."""
+    u = (1.0, 0.0)
+    signs = []
+    for _ in range(q):
+        signs.append("+" if u[0] >= 0 else "-")
+        try:
+            u = step(params, u)
+        except OrbitOverflowError:
+            return math.inf
+        r = math.hypot(*u)
+        u = (u[0] / r, u[1] / r)
+    m = word_matrix(params, "".join(signs))
+    return min(m.dist(Mat2.identity()), m.dist(Mat2(-1.0, 0.0, 0.0, -1.0)))

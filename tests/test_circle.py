@@ -167,6 +167,12 @@ def test_snap_requires_enough_steps():
     assert snap_rational(est_23, 256) is None  # 23^2 > 250
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_snap_none_for_non_finite_estimate(value):
+    # a non-finite estimate has no continued fraction to scan
+    assert snap_rational(RotationEstimate(value, 10**4, 1e-4), 256) is None
+
+
 def test_rotation_mpf_backend():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(120):

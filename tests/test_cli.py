@@ -167,6 +167,29 @@ def test_trace_curve_bad_slice(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--tol", "nan"], "tol"),
+    (["--tol", "-1"], "tol"),
+    (["--bracket", "1.15", "nan"], "bracket"),
+    (["--bracket", "1.25", "1.15"], "bracket"),
+])
+def test_trace_curve_bad_tol_or_bracket(capsys, args, name):
+    code = cli(["trace-curve", "--k", "-8", "--slice", "b=-a",
+                "--bracket", "1.15", "1.25", *args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
+
+
+@pytest.mark.parametrize("a", ["nan", "inf", "1e300"])
+def test_rotation_non_finite_estimate_is_an_error(capsys, a):
+    # the estimate is nan: an error line and exit 1, not a traceback
+    assert cli(["rotation", "-a", a, "-b", "1", "-N", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rotation estimate nan is not finite")
+
+
 def test_usage_error_exit_code(capsys):
     assert cli(["rotation", "-a", "0"]) == 1
     assert cli(["not-a-command"]) == 1

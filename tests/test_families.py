@@ -13,7 +13,8 @@ from pwlin import (
     family_b,
     verify_family,
 )
-from pwlin.errors import DomainError, NoBracketError, SignConstraintError
+from pwlin.errors import (ArgumentError, DomainError, NoBracketError,
+                          SignConstraintError)
 from pwlin.families import piece_matrices, trace_formula
 from pwlin.scanner import norm_runs
 
@@ -288,3 +289,27 @@ def test_curve_find_sign_constraint():
 def test_curve_find_rejects_zero_k():
     with pytest.raises(ValueError):
         curve_find(0, lambda t: (t, -t), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("bracket, tol, name", [
+    ((1.15, 1.25), math.nan, "tol"),
+    ((1.15, 1.25), -1e-13, "tol"),
+    ((1.15, math.nan), 1e-13, "bracket"),
+    ((-math.inf, 1.25), 1e-13, "bracket"),
+    ((1.25, 1.15), 1e-13, "bracket"),
+    ((1.2, 1.2), 1e-13, "bracket"),
+])
+def test_curve_find_rejects_bad_tol_and_bracket(bracket, tol, name):
+    # these used to skip bisection and fail the final axis check instead
+    with pytest.raises(ArgumentError, match=name):
+        curve_find(-8, lambda t: (t, -t), bracket, tol=tol)
+
+
+def test_curve_find_zero_tol_stops_at_adjacent_floats():
+    # the objective is never exactly 0 on this slice: bisection reaches
+    # adjacent floats, where the midpoint rounds to an end, and stops
+    a = 1.270515
+    b = family_b(FamilyId.EX_A, a)
+    root = curve_find(-8, lambda t: (a, t), (b - 1.3e-3, b + 0.7e-3),
+                      tol=0.0)
+    assert abs(root - b) <= 4 * math.ulp(b)

@@ -1,6 +1,7 @@
 """Sectors, first-return extraction, axis-orbit relations."""
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,9 @@ from pwlin.errors import (
     OrbitOverflowError,
     PwlinError,
 )
+from pwlin.returnmap import MAX_CHUNK, _chunks, _first_return
 
+import oracles
 from conftest import A_SPECIAL, B_SPECIAL, C_SPECIAL
 
 
@@ -125,6 +128,89 @@ def test_first_preimage_matches_brute_force():
                         seen.add("none" if got is None else
                                  got[0] if got[0] == "overflow" else "hit")
     assert seen == {"hit", "none", "overflow"}
+
+
+# ---------------- orbit searches against their oracles ----------------
+
+# moderate and steep slopes, slopes no rescale chunk admits, and
+# non-finite ones
+_SLOPES = st.one_of(
+    st.floats(-2.5, 2.5), st.floats(-60.0, 60.0),
+    st.sampled_from([2.0 ** 399, -2.0 ** 399, 1e20, -1e100, 1e300,
+                     math.inf, -math.inf, math.nan]))
+_ANGLES = st.floats(0.0, 2 * math.pi)
+# budgets at the first seams of the chunk schedule (16, 48, 112 steps),
+# and some past them
+_SEAMS = [done for done, _ in islice(_chunks(10 ** 6, MAX_CHUNK), 1, 4)]
+_BUDGETS = st.sampled_from([s + d for s in _SEAMS for d in (-1, 0, 1)]
+                           + [1, 1000, 3000])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PwlinError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _sector(start, width):
+    try:
+        return Sector(Ray.at_angle(start), Ray.at_angle(start + width))
+    except DegenerateError:
+        assume(False)
+
+
+@given(_SLOPES, _SLOPES, _ANGLES, _ANGLES, st.floats(0.01, 6.2), _BUDGETS)
+def test_first_return_matches_oracle(a, b, t, start, width, budget):
+    """Word and step count (or the NoReturnError) of the rescaled chunk
+    walk equal those of the walk renormalized at every step."""
+    sector = _sector(start, width)
+    args = (Params(a, b), (math.cos(t), math.sin(t)), sector, budget)
+    assert _outcome(_first_return, *args) == _outcome(oracles.first_return,
+                                                      *args)
+
+
+@given(_SLOPES, _SLOPES, _BUDGETS,
+       st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]))
+def test_orbit_relation_matches_oracle(a, b, max_iter, tol):
+    """The two walk_chain lanes find the relation (or the escape, the
+    DegenerateError, the None) of the interleaved step/inverse_step
+    loop."""
+    args = (Params(a, b), max_iter, tol)
+    assert _outcome(orbit_relation, *args) == _outcome(
+        oracles.orbit_relation, *args)
+
+
+@given(_SLOPES, _SLOPES, _ANGLES, _ANGLES, st.floats(0.01, 6.2),
+       st.sampled_from([1.0, 1e299, 1e300, 2e300, 1e308]),
+       st.integers(0, 2), _BUDGETS)
+def test_first_preimage_matches_oracle(a, b, t, start, width, scale, i_min,
+                                       budget):
+    """Targets up to and past the overflow limit: hit, None and the
+    overflow all agree with the one-loop walk."""
+    sector = _sector(start, width)
+    target = (scale * math.cos(t), scale * math.sin(t))
+    args = (Params(a, b), target, sector, i_min, budget)
+    assert _outcome(first_preimage_in, *args) == _outcome(
+        oracles.first_preimage_in, *args)
+
+
+_COORDS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, -0.0, 1e-320, 1e308, math.inf, -math.inf, math.nan]))
+
+
+@given(_ANGLES, st.floats(0.01, 6.2),
+       st.lists(st.tuples(_COORDS, _COORDS), max_size=40),
+       st.integers(0, 5), st.integers(0, 45))
+def test_first_inside_is_contains(start, width, points, lo, hi):
+    """The sector's range test is its per-point test, nan and the
+    sector's own rays included."""
+    sector = _sector(start, width)
+    points += [sector.start.direction, sector.end.direction]
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    want = next((k for k in range(lo, min(hi, len(points)))
+                 if sector.contains(points[k])), None)
+    assert sector.first_inside(xs, ys, lo, hi) == want
 
 
 # --------------------------- return maps ---------------------------

@@ -453,6 +453,39 @@ def test_multi_block_scan_matches_reference_kernel(monkeypatch):
                 assert got[key] == value
 
 
+_STEEP_SLOPES = st.sampled_from([2.0 ** 399, -2.0 ** 399, 1e20, 1e150,
+                                 1e300, math.inf, -math.inf, math.nan])
+
+
+@given(a=st.one_of(st.floats(-2.5, 2.5), st.floats(-60.0, 60.0),
+                   _STEEP_SLOPES),
+       b=st.one_of(st.floats(-2.5, 2.5), _STEEP_SLOPES),
+       q=st.integers(1, 256))
+def test_period_matrix_residual_matches_oracle(a, b, q):
+    """The word from ``iterate`` gives the oracle's residual whenever the
+    orbit of (1, 0) stays within OVERFLOW_LIMIT.  When it escapes, the
+    residual is inf; the renormalized oracle's cocycle then overflows
+    to nan or exceeds 1e290, so no period verdict changes."""
+    import numpy as np
+
+    from pwlin.errors import OrbitOverflowError
+    from pwlin.scanner import _period_matrix_residual
+
+    from oracles import period_matrix_residual
+
+    params = Params(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _period_matrix_residual(params, q)
+        want = period_matrix_residual(params, q)
+    try:
+        iterate(params, (1.0, 0.0), q)
+    except OrbitOverflowError:
+        assert got == math.inf
+        assert not want <= 1e290
+    else:
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def _within_ulps(x, y, n=4):
     return x == y or (math.isfinite(x) and math.isfinite(y) and
                       abs(x - y) <= n * math.ulp(max(abs(x), abs(y))))

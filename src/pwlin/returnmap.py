@@ -14,10 +14,25 @@ from functools import cached_property
 import numpy as np
 
 from .circle import TWO_PI, angle_of, normalize
-from .core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Params, Point, iterate,
-                   rescale_chunk, walk_chain, word_matrix)
-from .errors import (ArgumentError, DegenerateError, InconsistentPieceError,
-                     NoReturnError, OrbitOverflowError)
+from .core import (
+    MINUS,
+    OVERFLOW_LIMIT,
+    PLUS,
+    Mat2,
+    Params,
+    Point,
+    iterate,
+    rescale_chunk,
+    walk_chain,
+    word_matrix,
+)
+from .errors import (
+    ArgumentError,
+    DegenerateError,
+    InconsistentPieceError,
+    NoReturnError,
+    OrbitOverflowError,
+)
 
 #: Rays closer than this (radians) are treated as the same direction.
 RAY_DEDUP_TOL = 1e-11
@@ -46,8 +61,11 @@ def _rel_angle(t: float, start_angle: float) -> float:
 
 
 #: Orbit searches walk :func:`~pwlin.core.walk_chain` chunks of
-#: FIRST_CHUNK steps, doubling up to MAX_CHUNK: most end within a few
-#: steps, and one that runs out its budget pays for few chunks.
+#: FIRST_CHUNK steps, doubling up to MAX_CHUNK.  In the circle
+#: certificates most searches end within 16 steps, but most steps are
+#: walked by the few that run out a budget of 8,192: short chunks keep
+#: the first from walking far past their end, long ones keep the
+#: per-chunk cost of the second low.
 FIRST_CHUNK, MAX_CHUNK = 16, 1024
 
 
@@ -123,7 +141,8 @@ class Sector:
     def first_inside(self, xs, ys, lo: int, hi: int) -> int | None:
         """Smallest k in [lo, hi) with the float point ``(xs[k], ys[k])``
         inside, or None.  Each test is :meth:`contains`'s arithmetic:
-        ``math.atan2`` per point, the exact rest on the range at once."""
+        ``math.atan2`` per point, the exact rest on the range at once
+        (a loop over :meth:`contains` makes the searches 5x slower)."""
         t = np.fromiter(map(math.atan2, ys[lo:hi], xs[lo:hi]), float)
         t[t < 0.0] += TWO_PI
         t[t >= TWO_PI] = 0.0
@@ -191,9 +210,13 @@ class OrbitRelation:
         return abs(self.n)
 
 
-def first_preimage_in(params: Params, target: Point, sector: Sector,
-                      i_min: int = 0, max_iter: int = 10000
-                      ) -> tuple[Ray, int] | None:
+def first_preimage_in(
+    params: Params,
+    target: Point,
+    sector: Sector,
+    i_min: int = 0,
+    max_iter: int = 10000,
+) -> tuple[Ray, int] | None:
     """Smallest i >= i_min with T^(-i)(target) pointing into the sector.
 
     Returns the (ray, i) pair, or None when the budget runs out first.
@@ -232,6 +255,9 @@ def _first_return(params: Params, u: Point, sector: Sector, budget: int):
     between them.  A zero or non-finite point comes only from such a
     start (and stays so) or slope (one-step chunks), so the chunk's last
     point shows it.  It and budget exhaustion mean "no return seen".
+    A walk renormalized by ``hypot`` at every step rounds differently:
+    the two agree only up to rounding, so an orbit point within an ulp
+    or so of a sector boundary or of the vertical axis may go either way.
     """
     a, b = params.a, params.b
     x, y = u
@@ -270,9 +296,12 @@ def return_map(
     exact known directions (deterministic boundary assignment).
     """
     candidates: list[tuple[Ray, int]] = []
-    for target, i_min in (((0.0, 1.0), 0), ((0.0, -1.0), 0),
-                          (sector.start.direction, 1),
-                          (sector.end.direction, 0)):
+    for target, i_min in (
+        ((0.0, 1.0), 0),
+        ((0.0, -1.0), 0),
+        (sector.start.direction, 1),
+        (sector.end.direction, 0),
+    ):
         try:
             hit = first_preimage_in(params, target, sector, i_min, budget)
         except OrbitOverflowError:
@@ -296,9 +325,7 @@ def return_map(
     subsectors = sector.subdivide(
         [_mod_two_pi(sector.start_angle + r) for r in sorted(interior)])
 
-    # adjacent subsectors that carry the same word merge: spurious
-    # candidates (e.g. deep preimages) do not create new pieces
-    merged: list[tuple[Sector, str, int]] = []
+    probed: list[tuple[Sector, str, int]] = []
     for sub in subsectors:
         words = []
         for frac in (0.25, 0.5, 0.75):
@@ -309,13 +336,22 @@ def return_map(
             raise InconsistentPieceError(
                 f"itinerary changes inside subsector at "
                 f"[{sub.start_angle:.12f}, {sub.start_angle + sub.width:.12f})")
-        word, steps = words[0]
-        if merged and merged[-1][1] == word:
-            sub = Sector(merged.pop()[0].start, sub.end)
-        merged.append((sub, word, steps))
+        probed.append((sub, words[0][0], words[0][1]))
 
-    pieces = [ReturnPiece(sub, word, word_matrix(params, word), steps)
-              for sub, word, steps in merged]
+    # merge adjacent subsectors that turned out to carry the same word:
+    # spurious candidates (e.g. deep preimages) do not create new pieces
+    merged: list[tuple[Sector, str, int]] = []
+    for sub, word, steps in probed:
+        if merged and merged[-1][1] == word:
+            prev = merged[-1]
+            merged[-1] = (Sector(prev[0].start, sub.end), word, steps)
+        else:
+            merged.append((sub, word, steps))
+
+    pieces = [
+        ReturnPiece(sub, word, word_matrix(params, word), steps)
+        for sub, word, steps in merged
+    ]
     return ReturnMap(sector, pieces)
 
 
@@ -327,8 +363,11 @@ def commutator_residual(m1: Mat2, m2: Mat2) -> float:
     return comm / scale if scale > 0 else comm
 
 
-def orbit_relation(params: Params, max_iter: int = 10000,
-                   tol: float = 1e-9) -> OrbitRelation | None:
+def orbit_relation(
+    params: Params,
+    max_iter: int = 10000,
+    tol: float = 1e-9,
+) -> OrbitRelation | None:
     """Scan the orbit of (0, 1) for a return to the vertical axis.
 
     The smallest |n| wins, forward on a tie.  A point counts as on-axis

@@ -102,15 +102,23 @@ def first_preimage_in(params, target, sector, i_min=0, max_iter=10000):
     return None
 
 
-def first_return(params, u, sector, budget):
+def first_return(params, u, sector, budget, margin=0.0):
     """:func:`pwlin.returnmap._first_return` with the point renormalized
-    by ``hypot`` at every step."""
+    by ``hypot`` at every step.
+
+    The chunked walk matches this loop only up to rounding.  With
+    ``margin`` > 0 the result is None as soon as a point comes within
+    ``margin`` of the vertical axis (relative |x|, which signs the word)
+    or of a sector boundary (radians), where rounding can decide the
+    outcome."""
     x, y = u
     a, b = params.a, params.b
     start_angle = sector.start_angle
     width = sector.width
     signs = []
     for k in range(1, budget + 1):
+        if abs(x) < margin * math.hypot(x, y):
+            return None
         signs.append("+" if x >= 0.0 else "-")
         x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
         r = math.hypot(x, y)
@@ -118,13 +126,46 @@ def first_return(params, u, sector, budget):
             raise NoReturnError("orbit degenerated before returning")
         x /= r
         y /= r
-        if _inside(x, y, start_angle, width):
+        rel = _rel(x, y, start_angle)
+        if min(rel, abs(rel - width), TWO_PI - rel) < margin:
+            return None
+        if rel < width:
             return "".join(signs), k
+    raise NoReturnError(f"no return to the sector within {budget} steps")
+
+
+def first_return_rescaled(params, u, sector, budget, seams):
+    """:func:`pwlin.returnmap._first_return` one step at a time: the
+    point is rescaled by a power of two before each step index in
+    ``seams`` (the chunk starts), stepped with ``step``'s arithmetic and
+    tested after every step.  These are the chunked walk's float
+    operations, so the two agree bit for bit."""
+    a, b = params.a, params.b
+    start_angle = sector.start_angle
+    width = sector.width
+    x, y = u
+    signs = []
+    for k in range(budget):
+        if k in seams:
+            e = math.frexp(abs(x) + abs(y))[1]
+            x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+        signs.append(PLUS if x >= 0.0 else MINUS)
+        x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
+        if not 0.0 < abs(x) + abs(y) < math.inf:
+            raise NoReturnError("orbit degenerated before returning")
+        if _inside(x, y, start_angle, width):
+            return "".join(signs), k + 1
     raise NoReturnError(f"no return to the sector within {budget} steps")
 
 
 def _inside(x, y, start_angle, width):
     """``Sector.contains`` on a float point, inline."""
+    return _rel(x, y, start_angle) < width
+
+
+def _rel(x, y, start_angle):
+    """CCW offset of the point's angle from start_angle, as
+    ``Sector.contains`` computes it."""
     t = math.atan2(y, x)
     if t < 0.0:
         t += TWO_PI
@@ -133,7 +174,7 @@ def _inside(x, y, start_angle, width):
     rel = math.fmod(t - start_angle, TWO_PI)
     if rel < 0.0:
         rel += TWO_PI
-    return rel < width
+    return rel
 
 
 def orbit_relation(params, max_iter=10000, tol=1e-9):

@@ -24,7 +24,7 @@ from pwlin import (
     word_matrix,
 )
 from pwlin.circle import angle_of
-from pwlin.core import inverse_step
+from pwlin.core import inverse_step, rescale_chunk
 from pwlin.errors import (
     DegenerateError,
     NoReturnError,
@@ -162,12 +162,21 @@ def _sector(start, width):
 
 @given(_SLOPES, _SLOPES, _ANGLES, _ANGLES, st.floats(0.01, 6.2), _BUDGETS)
 def test_first_return_matches_oracle(a, b, t, start, width, budget):
-    """Word and step count (or the NoReturnError) of the rescaled chunk
-    walk equal those of the walk renormalized at every step."""
+    """Word and step count (or the NoReturnError) of the chunked walk
+    equal those of the same walk taken one step at a time with the
+    rescales at the same chunk starts.  They also equal those of the
+    walk renormalized by hypot at every step, which rounds differently,
+    wherever that walk stays 1e-6 clear of the vertical axis and of the
+    sector boundaries."""
     sector = _sector(start, width)
     args = (Params(a, b), (math.cos(t), math.sin(t)), sector, budget)
-    assert _outcome(_first_return, *args) == _outcome(oracles.first_return,
-                                                      *args)
+    seams = {done for done, _ in
+             _chunks(budget, rescale_chunk((a, b), MAX_CHUNK) or 1)}
+    got = _outcome(_first_return, *args)
+    assert got == _outcome(oracles.first_return_rescaled, *args, seams)
+    renormalized = _outcome(oracles.first_return, *args, 1e-6)
+    if renormalized is not None:
+        assert got == renormalized
 
 
 @given(_SLOPES, _SLOPES, _BUDGETS,

@@ -88,41 +88,38 @@ def build_invariant_circle(
 ) -> InvariantCircle:
     """Build the canonical invariant circle for a lam = -1 relation.
 
-    Every sector is processed even after a failure, so the strongest
-    structural obstruction wins: an asymptote inside a sector (no
-    bounded invariant set exists, the divergent regime) is reported in
-    preference to budget exhaustion in transient sectors.  When the
-    rotation number snaps to a small-denominator rational the map is
-    suspected periodic and the result is withheld as uncertifiable.
+    Sectors are walked in CCW order.  The first one with an asymptote
+    inside it (no bounded invariant set: the divergent regime) raises
+    its :class:`AsymptoteInSectorError` at once; other sector failures
+    are collected while the rest are walked.  Only when no asymptote is
+    found is the rotation number estimated: when it snaps to a
+    small-denominator rational the map is suspected periodic and the
+    result is withheld as uncertifiable.  ``lam >= 0`` and
+    ``snap_check_steps < 1`` raise before any sector is walked.
     """
     if relation.lam >= 0:
         raise ArgumentError("invariant-circle construction needs lam = -1")
-
-    est = rotation_number(params, (1.0, 0.0), snap_check_steps)
-    periodic_suspect = snap_rational(est, PERIODIC_Q_MAX)
+    if snap_check_steps < 1:
+        raise ArgumentError("snap_check_steps must be >= 1")
 
     points = distinguished_set(params, relation)
     sectors = distinguished_sectors(points)
     rays = [Ray.through(p) for p in points]
 
-    arcs: list[ConicArc | None] = []
+    arcs: list[ConicArc] = []
     failures: list[PwlinError] = []
-    classes: set[ConicClass] = set()
     for i, sector in enumerate(sectors):
         try:
             arcs.append(_sector_arc(params, sector, points[i], rays,
                                     n_samples, budget))
-            classes.add(arcs[-1].conic_class)
-        except ArgumentError:  # a bad argument, not a property of the sector
+        # a bad argument is no sector property; an asymptote decides
+        except (ArgumentError, AsymptoteInSectorError):
             raise
         except PwlinError as exc:
-            arcs.append(None)
             failures.append(exc)
 
-    asymptote = next(
-        (e for e in failures if isinstance(e, AsymptoteInSectorError)), None)
-    if asymptote is not None:
-        raise asymptote
+    est = rotation_number(params, (1.0, 0.0), snap_check_steps)
+    periodic_suspect = snap_rational(est, PERIODIC_Q_MAX)
     if failures:
         if periodic_suspect is not None:
             raise PeriodicSuspectError(
@@ -133,20 +130,20 @@ def build_invariant_circle(
         raise PeriodicSuspectError(
             f"rotation number snaps to {periodic_suspect} "
             f"(denominator <= {PERIODIC_Q_MAX}); circle not certified")
+    classes = {arc.conic_class for arc in arcs}
     if len(classes) != 1:
         raise InconsistentPieceError(
             f"sectors disagree on the conic class: {sorted(c.value for c in classes)}")
 
-    built = [a for a in arcs if a is not None]
-    max_residual = _points_residual(built, points)
-    max_gap = _adjacent_gap(built)
+    max_residual = _points_residual(arcs, points)
+    max_gap = _adjacent_gap(arcs)
     if max_gap > MAX_GAP:
         raise InconsistentPieceError(
             f"adjacent arcs fail to meet: relative gap {max_gap:.3e}")
     return InvariantCircle(
         params=params,
         n=relation.n,
-        arcs=built,
+        arcs=arcs,
         conic_class=classes.pop(),
         max_residual=max_residual,
         max_gap=max_gap,

@@ -87,6 +87,9 @@ def _cmd_rotation(ns) -> int:
 
 
 def _cmd_return_map(ns) -> int:
+    for name, deg in (("--start-deg", ns.start_deg), ("--end-deg", ns.end_deg)):
+        if not math.isfinite(deg):
+            raise ArgumentError(f"{name} must be finite, got {deg}")
     params = Params(ns.a, ns.b)
     sector = Sector(Ray.at_angle(math.radians(ns.start_deg)),
                     Ray.at_angle(math.radians(ns.end_deg)))

@@ -198,7 +198,8 @@ def scan(
     arithmetic failures (:class:`PwlinError`, :class:`ArithmeticError`)
     are recorded in the cell, not raised; an :class:`ArgumentError`
     (such as a ``config`` out of range) and any other exception
-    propagate.  A budget below ``MIN_BUDGET`` marks every cell.
+    propagate.  A budget below 1 raises :class:`ArgumentError`; one
+    from 1 to ``MIN_BUDGET - 1`` marks every cell.
 
     The orbits of all cells are walked together by one batched kernel.
     Cells it does not reproduce exactly (slopes that are not finite
@@ -207,6 +208,8 @@ def scan(
     """
     if resolution < 0 or resolution > 2048:
         raise ArgumentError("resolution must be in [0, 2048]")
+    if budget < 1:
+        raise ArgumentError(f"budget must be >= 1, got {budget}")
     if resolution == 0:
         return []
     cells = []

@@ -18,6 +18,7 @@ from pwlin import (
     orbit_relation,
     residual_report,
 )
+import pwlin.builder as builder_mod
 from pwlin.builder import _residual_walk
 from pwlin.circle import angle_of
 from pwlin.core import inverse_step, step
@@ -26,8 +27,10 @@ from pwlin.errors import (
     AsymptoteInSectorError,
     OrbitOverflowError,
     PeriodicSuspectError,
+    PwlinError,
 )
-from pwlin.returnmap import Ray, Sector
+from pwlin.returnmap import (Ray, Sector, distinguished_sectors,
+                             distinguished_set)
 
 from conftest import A_SPECIAL, ALPHA0, B_SPECIAL, C_SPECIAL
 
@@ -186,6 +189,74 @@ def test_rejects_positive_lambda_relation():
     bad = dataclasses.replace(rel, lam=1.0)
     with pytest.raises(ValueError):
         build_invariant_circle(params, bad)
+
+
+# ------------------- order of the builder's work -------------------
+
+def _counting(monkeypatch, name):
+    """Replace ``builder.<name>`` by a wrapper that counts its calls."""
+    real = getattr(builder_mod, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builder_mod, name, counted)
+    return calls
+
+
+def _sector_outcomes(params):
+    """Outcome of every sector of the construction at ``params``, all
+    walked in CCW order: the arc, or the error the sector raised."""
+    rel = orbit_relation(params)
+    points = distinguished_set(params, rel)
+    rays = [Ray.through(p) for p in points]
+    out = []
+    for i, sector in enumerate(distinguished_sectors(points)):
+        try:
+            out.append(builder_mod._sector_arc(params, sector, points[i],
+                                               rays, 512, 8192))
+        except PwlinError as exc:
+            out.append(exc)
+    return out
+
+
+def test_asymptote_stops_at_the_first_asymptote_sector(monkeypatch,
+                                                       params_c_special):
+    outcomes = _sector_outcomes(params_c_special)
+    first = next(i for i, e in enumerate(outcomes)
+                 if isinstance(e, AsymptoteInSectorError))
+    # the later sectors are not needed: some of them exhaust their budget
+    assert first + 1 < len(outcomes) == 13
+    rel = orbit_relation(params_c_special)
+    return_maps = _counting(monkeypatch, "return_map")
+    rotations = _counting(monkeypatch, "rotation_number")
+    with pytest.raises(AsymptoteInSectorError) as err:
+        build_invariant_circle(params_c_special, rel)
+    assert len(return_maps) == first + 1
+    assert rotations == []
+    # the error of the first asymptote sector in CCW order, the one a
+    # walk over every sector reports
+    assert err.value.eigenray == outcomes[first].eigenray
+
+
+def test_snap_walk_runs_when_no_asymptote(monkeypatch, params_a_special):
+    rotations = _counting(monkeypatch, "rotation_number")
+    build_invariant_circle(params_a_special, orbit_relation(params_a_special),
+                           snap_check_steps=5000)
+    assert [args[2] for args in rotations] == [5000]
+
+
+@pytest.mark.parametrize("a, b", [(C_SPECIAL, -C_SPECIAL),
+                                  (A_SPECIAL, -A_SPECIAL)])
+def test_bad_snap_steps_raise_before_any_sector(monkeypatch, a, b):
+    params = Params(a, b)
+    rel = orbit_relation(params)
+    return_maps = _counting(monkeypatch, "return_map")
+    with pytest.raises(ArgumentError, match="snap_check_steps"):
+        build_invariant_circle(params, rel, snap_check_steps=0)
+    assert return_maps == []
 
 
 # ------------------- residual report against the scalar loop -------------------

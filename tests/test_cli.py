@@ -234,6 +234,16 @@ def test_precision_env_is_scoped(tmp_path, monkeypatch, capsys):
       "--resolution", "5000"], "resolution must be in [0, 2048]"),
     (["trace-curve", "--k", "0", "--slice", "b=-a", "--bracket", "1.1", "1.3"],
      "k must be nonzero"),
+    (["scan", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1",
+      "--resolution", "2", "--budget", "0"], "budget must be >= 1, got 0"),
+    (["scan", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1",
+      "--resolution", "2", "--budget", "-3"], "budget must be >= 1, got -3"),
+    (["return-map", "-a", "0.1", "-b", "-0.06703893950752593",
+      "--start-deg", "nan", "--end-deg", "270"],
+     "--start-deg must be finite, got nan"),
+    (["return-map", "-a", "0.1", "-b", "-0.06703893950752593",
+      "--start-deg", "180", "--end-deg=-inf"],
+     "--end-deg must be finite, got -inf"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, monkeypatch,
                                                 capsys, argv, message):

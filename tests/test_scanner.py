@@ -20,7 +20,8 @@ from pwlin import (
     scan,
 )
 
-from pwlin.errors import PwlinError
+from pwlin.errors import ArgumentError, PwlinError
+from pwlin.scanner import MIN_BUDGET
 
 from conftest import C_SPECIAL
 
@@ -212,6 +213,23 @@ def test_scan_budget_below_floor_skips_kernel(monkeypatch):
     assert len(records) == 9
     assert all(r.verdict is Verdict.UNDETERMINED for r in records)
     assert all(r.error == "budget must be at least 1000" for r in records)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_scan_budget_below_one_is_an_argument_error(monkeypatch, budget):
+    import pwlin.scanner as scanner_mod
+
+    monkeypatch.setattr(scanner_mod, "_failed_cell", None)  # never reached
+    with pytest.raises(ArgumentError, match="budget must be >= 1"):
+        scanner_mod.scan((0.0, 1.0), (0.0, 1.0), 3, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [1, MIN_BUDGET - 1])
+def test_scan_budget_from_one_marks_every_cell(budget):
+    records = scan((0.0, 1.0), (0.0, 1.0), 2, budget=budget)
+    assert len(records) == 4
+    assert all(r.verdict is Verdict.UNDETERMINED for r in records)
+    assert all(r.rotation.error_bound == 1.0 / budget for r in records)
 
 
 def test_scan_swap_symmetry():

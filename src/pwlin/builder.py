@@ -16,33 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, angle_of, rotation_number, snap_rational
-from .conics import (
-    ConicArc,
-    ConicClass,
-    arc_in_sector,
-    conic_class_of_trace,
-    invariant_form,
-    level_through,
-)
+from .circle import rotation_number, snap_rational
+from .conics import (ConicArc, ConicClass, arc_in_sector, conic_class_of_trace,
+                     invariant_form, level_through)
 from .core import OVERFLOW_LIMIT, Params, Point, walk_chain
-from .errors import (
-    ArgumentError,
-    AsymptoteInSectorError,
-    CommutationError,
-    InconsistentPieceError,
-    OrbitOverflowError,
-    PeriodicSuspectError,
-    PwlinError,
-)
-from .returnmap import (
-    OrbitRelation,
-    Ray,
-    commutator_residual,
-    distinguished_sectors,
-    distinguished_set,
-    return_map,
-)
+from .errors import (ArgumentError, AsymptoteInSectorError, CommutationError,
+                     InconsistentPieceError, OrbitOverflowError,
+                     PeriodicSuspectError, PwlinError)
+from .returnmap import (OrbitRelation, commutator_residual,
+                        distinguished_sectors, distinguished_set,
+                        first_sector, return_map)
 
 #: Builder acceptance thresholds (two orders above double noise at 1e5 steps).
 MAX_GAP = 1e-6
@@ -51,9 +34,6 @@ MAX_COMMUTATOR = 1e-8
 PERIODIC_Q_MAX = 64
 #: Orbit points per numpy block in ``residual_report``; bounds its memory.
 RESIDUAL_CHUNK = 4096
-#: Angular distance (rad) from a sector boundary within which
-#: ``residual_report`` finds a point's sector by the per-point test.
-BOUNDARY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,7 +84,7 @@ def build_invariant_circle(
 
     points = distinguished_set(params, relation)
     sectors = distinguished_sectors(points)
-    rays = [Ray.through(p) for p in points]
+    rays = [sector.start for sector in sectors]
 
     arcs: list[ConicArc] = []
     failures: list[PwlinError] = []
@@ -221,33 +201,23 @@ def residual_report(
 
     Iterates ``start`` and checks each point against the form and level
     of its containing sector (the first arc, in CCW order, whose sector
-    holds the point's angle; a point in none is skipped).  Returns the
-    overall maximum and the per-sector maxima (CCW order of the arcs).
+    contains the point by :meth:`Sector.contains`; a point in none is
+    skipped).  Returns the overall maximum and the per-sector maxima
+    (CCW order of the arcs).
 
     The orbit is walked in chunks of at most ``RESIDUAL_CHUNK`` points
     by the float walker ``rotation_number`` also uses
     (:func:`walk_chain`: ``step``'s arithmetic, no per-step check).
     ``step`` would raise at the first component beyond
     ``OVERFLOW_LIMIT``, and that aborts the whole call, so the same
-    error is raised when any non-NaN point of a chunk exceeds it.  The
-    sector of each point is the one the per-point loop would find from
-    its ``angle_of`` angle (``math.atan2``) and ``Sector.contains_angle``
-    in arc order; it is looked up in a table of angular gaps, with that
-    loop run only near gap boundaries (see :func:`_residual_walk`).
-    Residuals are evaluated with numpy, each operation the one
-    ``QuadraticForm`` performs, in the same order, so the result is
-    bit-identical to the per-point loop, and a NaN residual is never
-    recorded.
+    error is raised when any non-NaN point of a chunk exceeds it.  Each
+    chunk's sectors come from :func:`~pwlin.returnmap.first_sector`, its
+    residuals from numpy, each operation the one ``QuadraticForm``
+    performs, in the same order: the result is bit-identical to the
+    per-point loop, and a NaN residual is never recorded.
     """
     max_res, per_sector, _ = _residual_walk(circle, orbit_len, start, 0)
     return max_res, per_sector
-
-
-def _first_sector(circle: InvariantCircle, t: float) -> int:
-    """Index of the first arc, in CCW order, whose sector holds angle
-    ``t``, or -1."""
-    return next((i for i, arc in enumerate(circle.arcs)
-                 if arc.sector.contains_angle(t)), -1)
 
 
 def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
@@ -255,31 +225,8 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
                                        tuple[np.ndarray, np.ndarray]]:
     """:func:`residual_report`, plus the first ``keep + 1`` points of its
     orbit (``start`` included) as float64 x and y arrays, taken from the
-    same walk.
-
-    Sector lookup.  The sector boundaries (every arc's start angle and
-    its end ``fmod(start + width, 2*pi)``, plus 0 and 2*pi) cut [0, 2*pi]
-    into gaps; each gap's owner is the per-point test evaluated at its
-    midpoint, and a last slot of -1 follows the gap table.  A point's
-    angle, from ``np.arctan2`` reduced as in ``angle_of``, picks its gap
-    by ``np.searchsorted``; a NaN angle sorts past every boundary into
-    the last slot, since a NaN angle is in no sector.  This is exact
-    away from the boundaries: ``np.arctan2`` and libm ``atan2`` differ
-    by a few ulps, and the per-point test's ``fmod`` and ``+ 2*pi`` round
-    by about 1e-15 rad, so an angle more than ``BOUNDARY_SLACK`` from
-    every boundary lies, by either ``atan2``, on the same side of every
-    boundary, where each arc's test gives the same answer as at the gap's
-    midpoint.  Points within the slack of a boundary take the per-point
-    path (``angle_of``, then :func:`_first_sector`).  That path always
-    runs: the first ``|n|`` orbit points of (0, 1) are the distinguished
-    points, which lie on the sector rays.
-    """
+    same walk."""
     sectors = [arc.sector for arc in circle.arcs]
-    cuts = np.unique([0.0, TWO_PI, *(s.start_angle for s in sectors),
-                      *(math.fmod(s.start_angle + s.width, TWO_PI)
-                        for s in sectors)])
-    owner = np.array([_first_sector(circle, 0.5 * (lo + hi))
-                      for lo, hi in zip(cuts[:-1], cuts[1:])] + [-1])
     coef_a = np.array([arc.form.A for arc in circle.arcs])
     coef_2b = np.array([2.0 * arc.form.B for arc in circle.arcs])
     coef_c = np.array([arc.form.C for arc in circle.arcs])
@@ -307,17 +254,7 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
         done += m
 
         px, py = xs[2:], xs[1:-1]
-        with np.errstate(invalid="ignore"):  # NaN points
-            t = np.arctan2(py, px)
-        t = np.where(t < 0.0, t + TWO_PI, t)
-        lo = np.searchsorted(cuts, t - BOUNDARY_SLACK)
-        hi = np.searchsorted(cuts, t + BOUNDARY_SLACK, side="right")
-        clear = lo == hi
-        sec = np.empty(m, dtype=np.intp)
-        sec[clear] = owner[lo[clear] - 1]
-        for k in np.flatnonzero(~clear).tolist():
-            sec[k] = _first_sector(circle,
-                                   angle_of((chain[k + 2], chain[k + 1])))
+        sec = first_sector(sectors, px, py)
         hit = sec >= 0
         sec = sec[hit]
         px, py = px[hit], py[hit]

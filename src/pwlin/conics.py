@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI
+from .circle import TWO_PI, normalize
 from .core import Mat2, Point
 from .errors import (ArgumentError, AsymptoteInSectorError, DegenerateError,
                      DegenerateMatrixError)
@@ -127,28 +127,23 @@ def null_directions(form: QuadraticForm) -> list[Point]:
         if A == 0.0:
             out.append((1.0, 0.0))
             if B != 0.0:
-                out.append(_unit((-C, 2.0 * B)))
+                out.append(normalize((-C, 2.0 * B)))
         else:
             for s in (1.0, -1.0):
                 t = (-2.0 * B + s * r) / (2.0 * A)
-                out.append(_unit((t, 1.0)))
+                out.append(normalize((t, 1.0)))
     else:
         if C == 0.0:
             out.append((0.0, 1.0))
             if B != 0.0:
-                out.append(_unit((2.0 * B, -A)))
+                out.append(normalize((2.0 * B, -A)))
         else:
             for s in (1.0, -1.0):
                 t = (-2.0 * B + s * r) / (2.0 * C)
-                out.append(_unit((1.0, t)))
+                out.append(normalize((1.0, t)))
     if len(out) == 2 and _line_distance(out[0], out[1]) < 1e-14:
         out = out[:1]
     return out
-
-
-def _unit(p: Point) -> Point:
-    r = math.hypot(*p)
-    return (p[0] / r, p[1] / r)
 
 
 def _line_distance(u: Point, v: Point) -> float:
@@ -177,7 +172,7 @@ def eigenrays(m: Mat2) -> list[Ray]:
         row = r1 if math.hypot(*r1) >= math.hypot(*r2) else r2
         if math.hypot(*row) == 0.0:
             continue  # multiple of the identity: no distinguished rays
-        v = _unit((-row[1], row[0]))
+        v = normalize((-row[1], row[0]))
         if v[1] < 0.0 or (v[1] == 0.0 and v[0] < 0.0):
             v = (-v[0], -v[1])
         out.append(Ray(v))
@@ -220,11 +215,12 @@ def _principal_frame(form: QuadraticForm):
 
 def _boundary_point(form: QuadraticForm, level: float, ray: Ray) -> Point:
     """Intersection of the level set with a boundary ray."""
-    qd = form(ray.direction)
+    d = normalize(ray.direction)
+    qd = form(d)
     if qd == 0.0 or (qd > 0.0) != (level > 0.0):
         raise DegenerateError("level set does not meet the boundary ray")
     s = math.sqrt(level / qd)
-    return (s * ray.direction[0], s * ray.direction[1])
+    return (s * d[0], s * d[1])
 
 
 def arc_in_sector(
@@ -249,9 +245,8 @@ def arc_in_sector(
     scale = max(1.0, abs(level))
     if abs(form(anchor) - level) > 1e-9 * scale:
         raise DegenerateError("anchor does not lie on the level set")
-    # closure membership: anchors are often exactly on the start ray and
-    # may land an ulp clockwise of it after normalization
-    if not sector.contains_closure(anchor):
+    # the anchor is often exactly on the start ray, which is inside
+    if not sector.contains(anchor):
         raise DegenerateError("anchor direction is outside the sector")
 
     cls = form.conic_class()
@@ -340,7 +335,7 @@ def _sample_line(form, level, sector, anchor, n_samples):
     w0 = (float(evecs[0, i0]), float(evecs[1, i0]))
 
     def boundary_param(ray: Ray) -> float:
-        d = ray.direction
+        d = normalize(ray.direction)
         denom = w0[0] * d[1] - w0[1] * d[0]
         if abs(denom) < 1e-300:
             raise DegenerateError("line is parallel to the boundary ray")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OrbitOverflowError
+from .errors import DomainError, OrbitOverflowError
 
 # Components beyond this magnitude count as escaped; orbits that reach it
 # abort with an indexed error instead of propagating infinities.
@@ -48,6 +48,13 @@ class Params:
     @property
     def nu(self):
         return 0.5 * (self.a + self.b)
+
+
+def check_slopes(params: Params) -> None:
+    """Raise :class:`DomainError` naming the slopes unless both are finite."""
+    if not (math.isfinite(params.a) and math.isfinite(params.b)):
+        raise DomainError(
+            f"slopes must be finite, got a={params.a!r}, b={params.b!r}")
 
 
 def step(params: Params, p: Point) -> Point:

@@ -4,60 +4,74 @@ Sectors are half-open counterclockwise cones R+[start, end); because the
 map sends rays to rays, its first-return map to a sector is piecewise
 linear, with breakpoints at preimages of the vertical directions and of
 the sector boundary.
+
+Every geometric decision here (sector membership, CCW order, the sort of
+the distinguished set) rests on the sign of a cross product
+``ux*py - uy*px``, decided by :func:`cross_sign` exactly on the given
+numbers: the float result decides wherever it clears its rounding
+error bound, and integer arithmetic on the numbers' ratios decides the
+rest.  Angles are only read out (``Ray.angle``, probe placement),
+never compared.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
-from .circle import TWO_PI, angle_of, normalize
-from .core import (
-    MINUS,
-    OVERFLOW_LIMIT,
-    PLUS,
-    Mat2,
-    Params,
-    Point,
-    iterate,
-    rescale_chunk,
-    walk_chain,
-    word_matrix,
-)
-from .errors import (
-    ArgumentError,
-    DegenerateError,
-    InconsistentPieceError,
-    NoReturnError,
-    OrbitOverflowError,
-)
+from .circle import TWO_PI, angle_of
+from .core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Params, Point,
+                   check_slopes, iterate, rescale_chunk, walk_chain,
+                   word_matrix)
+from .errors import (ArgumentError, DegenerateError, InconsistentPieceError,
+                     NoReturnError, OrbitOverflowError)
 
-#: Rays closer than this (radians) are treated as the same direction.
+#: Rays closer than this (the sine of the angle between them) are
+#: treated as the same direction by ``return_map``.
 RAY_DEDUP_TOL = 1e-11
 
-
-def _mod_two_pi(t: float) -> float:
-    t = math.fmod(t, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    if t >= TWO_PI:
-        t = 0.0
-    return t
+#: For products l, r of doubles, the float sign of ``l - r`` is exact when
+#: ``|l - r| > _ERR * (|l| + |r|) + _TINY`` (4x the rounding error, plus
+#: a margin for products that underflow).
+_ERR, _TINY = 2.0 ** -51, 2.0 ** -1000
 
 
-def _rel_angle(t: float, start_angle: float) -> float:
-    """CCW offset of angle t from start_angle, in [0, 2*pi].
+def _sgn(v) -> int:
+    return (v > 0) - (v < 0)
 
-    A result that rounds up to 2*pi is kept as 2*pi: it denotes a point
-    an ulp clockwise of the start ray, which must stay outside a
-    half-open sector rooted there.
-    """
-    rel = math.fmod(t - start_angle, TWO_PI)
-    if rel < 0.0:
-        rel += TWO_PI
-    return rel
+
+def cross_sign(u: Point, p: Point) -> int:
+    """Sign (1, 0 or -1) of ``u[0]*p[1] - u[1]*p[0]``, exact on the
+    given finite numbers (floats, ints or ``Fraction``s alike).  The
+    computed difference decides when it clears its error bound; else,
+    with ratios a/b, c/d, e/f, g/h of u[0], p[1], u[1], p[0] (positive
+    denominators), the sign of the integer a*c*f*h - e*g*b*d does."""
+    l, r = u[0] * p[1], u[1] * p[0]
+    if abs(l - r) > _ERR * (abs(l) + abs(r)) + _TINY:
+        return 1 if l > r else -1
+    (a, b), (c, d), (e, f), (g, h) = (v.as_integer_ratio()
+                                      for v in (u[0], p[1], u[1], p[0]))
+    return _sgn(a * c * f * h - e * g * b * d)
+
+
+def _half(u: Point, p: Point) -> int:
+    """0 when p lies in the half-plane [u, -u) (CCW from u, the ray of u
+    included: p on it has u's component signs), else 1; 1 for p = 0."""
+    s = cross_sign(u, p)
+    return int(s < 0 or s == 0 and (_sgn(p[0]), _sgn(p[1]))
+               != (_sgn(u[0]), _sgn(u[1])))
+
+
+def ccw_key(u: Point):
+    """Sort key that puts nonzero points in CCW order of direction,
+    starting at the ray of u: by :func:`_half`, then by cross sign
+    (two directions in one half-plane are less than pi apart)."""
+    def order(p: Point, q: Point) -> int:
+        hp, hq = _half(u, p), _half(u, q)
+        return hp - hq if hp != hq else -cross_sign(p, q)
+    return cmp_to_key(order)
 
 
 #: Orbit searches walk :func:`~pwlin.core.walk_chain` chunks of
@@ -90,14 +104,27 @@ def _first_escape(values: list, lo: int) -> int | None:
 
 @dataclass(frozen=True)
 class Ray:
-    """A direction from the origin, stored as a unit vector.  Its angle
-    is computed on first access and kept."""
+    """A direction from the origin, stored as the vector it was given.
+
+    :meth:`through` scales a float vector by the power of two that puts
+    its larger component in [1, 2) when that is exact, so products with
+    orbit points stay finite; the direction is never rounded.  ``angle``
+    is a read-out, computed on first access; no decision rests on it.
+    """
 
     direction: Point
 
     @classmethod
     def through(cls, p: Point) -> "Ray":
-        return cls(normalize(p))
+        x, y = p
+        if x == 0 and y == 0 or not x - x == 0 == y - y:  # zero, inf, nan
+            raise DegenerateError(f"a ray needs a finite nonzero point: {p}")
+        if isinstance(x, float) and isinstance(y, float):
+            e = 1 - math.frexp(max(abs(x), abs(y)))[1]
+            sx, sy = math.ldexp(x, e), math.ldexp(y, e)
+            if math.ldexp(sx, -e) == x and math.ldexp(sy, -e) == y:
+                x, y = sx, sy
+        return cls((x, y))
 
     @classmethod
     def at_angle(cls, t: float) -> "Ray":
@@ -112,62 +139,109 @@ class Ray:
 class Sector:
     """Half-open CCW sector R+[start, end).
 
-    Membership is decided by exact angle comparison after mod-2*pi
-    reduction, so boundary points are assigned deterministically: the
-    start ray is inside, the end ray is not.
+    With u and v the start and end directions, p lies in the sector when
+    it comes before v in the CCW order from u (:func:`ccw_key`): p is in
+    the half-plane [u, -u) and v is not, or both or neither are and
+    cross(p, v) > 0.  Narrower than pi, this is cross(u, p) >= 0 and
+    cross(p, v) > 0; the half-plane test serves sectors of width pi or
+    more.  The signs are :func:`cross_sign`'s, exact on the given
+    numbers: the start ray is inside, the end ray is not.  Zero and
+    non-finite points are in no sector.
     """
 
     start: Ray
     end: Ray
 
     def __post_init__(self):
-        if self.width <= RAY_DEDUP_TOL:
+        if self._end_half == 0 and cross_sign(self.start.direction,
+                                              self.end.direction) == 0:
             raise DegenerateError("sector endpoints coincide")
 
-    @property
-    def start_angle(self) -> float:
-        return self.start.angle
+    @cached_property
+    def _end_half(self) -> int:
+        return _half(self.start.direction, self.end.direction)
 
     @property
-    def width(self) -> float:
-        return _mod_two_pi(self.end.angle - self.start.angle)
-
-    def contains_angle(self, t: float) -> bool:
-        return _rel_angle(t, self.start_angle) < self.width
+    def width(self) -> float:  # a read-out, as Ray.angle
+        return (self.end.angle - self.start.angle) % TWO_PI
 
     def contains(self, p: Point) -> bool:
-        return self.contains_angle(angle_of(p))
+        key = ccw_key(self.start.direction)
+        finite = p[0] - p[0] == 0 and p[1] - p[1] == 0  # not inf or nan
+        return finite and key(p) < key(self.end.direction)
+
+    def _mask(self, first: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+        """:meth:`contains` from the points' :func:`_sides` of the start
+        ray (``first``) and of the end ray (``ahead``)."""
+        return first & ahead if self._end_half == 0 else first | ahead
 
     def first_inside(self, xs, ys, lo: int, hi: int) -> int | None:
         """Smallest k in [lo, hi) with the float point ``(xs[k], ys[k])``
-        inside, or None.  Each test is :meth:`contains`'s arithmetic:
-        ``math.atan2`` per point, the exact rest on the range at once
-        (a loop over :meth:`contains` makes the searches 5x slower)."""
-        t = np.fromiter(map(math.atan2, ys[lo:hi], xs[lo:hi]), float)
-        t[t < 0.0] += TWO_PI
-        t[t >= TWO_PI] = 0.0
-        rel = np.fmod(t - self.start_angle, TWO_PI)
-        rel[rel < 0.0] += TWO_PI
-        hit = np.flatnonzero(rel < self.width)
+        inside, or None: :meth:`contains` over the range, in numpy."""
+        first, ahead = _sides((self.start.direction, self.end.direction),
+                              np.array(xs[lo:hi], float),
+                              np.array(ys[lo:hi], float))
+        hit = np.flatnonzero(self._mask(first[0], ahead[1]))
         return lo + int(hit[0]) if hit.size else None
 
-    def contains_closure(self, p: Point, slack: float = 1e-9) -> bool:
-        """Membership up to angular slack on both boundaries."""
-        rel = _rel_angle(angle_of(p), self.start_angle)
-        return rel < self.width + slack or rel >= TWO_PI - slack
-
     def angle_at(self, fraction: float) -> float:
-        """Angle at a fractional position across the sector."""
-        return _mod_two_pi(self.start_angle + fraction * self.width)
+        """Angle at a fractional position across the sector (not reduced
+        mod 2*pi); places ``return_map``'s probes."""
+        return self.start.angle + fraction * self.width
 
-    def subdivide(self, interior_angles: list[float]) -> list["Sector"]:
-        """Split at interior angles (given in absolute radians), CCW."""
-        rel = sorted(_mod_two_pi(t - self.start_angle) for t in interior_angles)
-        cuts = [self.start_angle] + [
-            _mod_two_pi(self.start_angle + r) for r in rel
-        ] + [self.end.angle]
-        rays = [self.start] + [Ray.at_angle(t) for t in cuts[1:-1]] + [self.end]
+    def subdivide(self, interior: list[Ray]) -> list["Sector"]:
+        """Split at interior rays, taken in CCW order from the start."""
+        key = ccw_key(self.start.direction)
+        rays = [self.start,
+                *sorted(interior, key=lambda r: key(r.direction)), self.end]
         return [Sector(rays[i], rays[i + 1]) for i in range(len(rays) - 1)]
+
+
+def _near(r: Ray, s: Ray) -> bool:
+    """Whether two rays lie within ``RAY_DEDUP_TOL`` of each other: the
+    sine of the angle between them at most the tolerance, its cosine
+    positive."""
+    (ux, uy), (vx, vy) = r.direction, s.direction
+    return ux * vx + uy * vy > 0 and abs(ux * vy - uy * vx) <= (
+        RAY_DEDUP_TOL * math.hypot(ux, uy) * math.hypot(vx, vy))
+
+
+def _sides(rays, x: np.ndarray,
+           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each float point p = (x[k], y[k]) (column) lies in the
+    half-plane [u, -u) of each float ray u (row), and whether
+    cross(p, u) > 0; neither for a non-finite p.  The float
+    ``u[0]*y - u[1]*x`` (a two-term matrix product) decides where it
+    exceeds ``_ERR * c * max(|x|, |y|) + _TINY``, c the largest
+    |u[0]| + |u[1]|, which bounds its error; :func:`cross_sign` and
+    :func:`_half` decide the rest."""
+    scale = _ERR * max(abs(a) + abs(b) for a, b in rays)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan points
+        d = np.array([(-b, a) for a, b in rays]) @ np.vstack((x, y))
+    bound = scale * np.maximum(np.abs(x), np.abs(y)) + _TINY
+    first, ahead = d > bound, d < -bound  # the sure signs
+    sure = first | ahead  # not where d or bound is nan
+    for j, k in zip(*np.nonzero(~sure)) if not sure.all() else ():
+        p = (float(x[k]), float(y[k]))
+        if math.isfinite(p[0]) and math.isfinite(p[1]):
+            first[j, k] = _half(rays[j], p) == 0
+            ahead[j, k] = cross_sign(rays[j], p) < 0
+    return first, ahead
+
+
+def first_sector(sectors: list[Sector], x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """Index of the first of ``sectors`` that contains each float point
+    (x[k], y[k]), or -1; the sides of a shared ray are found once."""
+    row = {r: j for j, r in enumerate(dict.fromkeys(
+        r.direction for s in sectors for r in (s.start, s.end)))}
+    first, ahead = _sides(list(row), x, y)
+    out = np.full(len(x), -1)
+    for i in reversed(range(len(sectors))):  # the first one wins
+        s = sectors[i]
+        f, a = first[row[s.start.direction]], ahead[row[s.end.direction]]
+        np.putmask(out, s._mask(f, a), i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -294,65 +368,47 @@ def return_map(
 
     ``distinguished`` rays, when given, snap nearby candidates onto the
     exact known directions (deterministic boundary assignment).
+    Candidates within ``RAY_DEDUP_TOL`` of the boundary or of a kept
+    one are dropped; the rest cut the sector in CCW order
+    (:meth:`Sector.subdivide`).  A non-finite slope raises
+    :class:`~pwlin.errors.DomainError`.
     """
-    candidates: list[tuple[Ray, int]] = []
-    for target, i_min in (
-        ((0.0, 1.0), 0),
-        ((0.0, -1.0), 0),
-        (sector.start.direction, 1),
-        (sector.end.direction, 0),
-    ):
+    check_slopes(params)
+    interior: list[Ray] = []
+    for target, i_min in (((0.0, 1.0), 0), ((0.0, -1.0), 0),
+                          (sector.start.direction, 1),
+                          (sector.end.direction, 0)):
         try:
             hit = first_preimage_in(params, target, sector, i_min, budget)
         except OrbitOverflowError:
-            hit = None  # the backward orbit escaped: no reachable preimage
-        if hit is not None:
-            candidates.append(hit)
+            continue  # the backward orbit escaped: no reachable preimage
+        if hit is None:
+            continue
+        ray = next((d for d in distinguished or () if _near(hit[0], d)),
+                   hit[0])
+        # skip the boundary, and rays numerically indistinguishable from it
+        # or from a kept one
+        if not any(_near(ray, r) for r in (sector.start, sector.end, *interior)):
+            interior.append(ray)
 
-    interior: list[float] = []
-    for ray, _ in candidates:
-        rel = _mod_two_pi(ray.angle - sector.start_angle)
-        if distinguished:
-            for dray in distinguished:
-                if abs(_mod_two_pi(ray.angle - dray.angle + math.pi) - math.pi) <= RAY_DEDUP_TOL:
-                    rel = _mod_two_pi(dray.angle - sector.start_angle)
-                    break
-        if rel <= RAY_DEDUP_TOL or rel >= sector.width - RAY_DEDUP_TOL:
-            continue  # boundary, or numerically indistinguishable from it
-        if all(abs(rel - r) > RAY_DEDUP_TOL for r in interior):
-            interior.append(rel)
-
-    subsectors = sector.subdivide(
-        [_mod_two_pi(sector.start_angle + r) for r in sorted(interior)])
-
-    probed: list[tuple[Sector, str, int]] = []
-    for sub in subsectors:
-        words = []
-        for frac in (0.25, 0.5, 0.75):
-            t = sub.angle_at(frac)
-            words.append(_first_return(params, (math.cos(t), math.sin(t)),
-                                       sector, budget))
-        if len({w for w, _ in words}) != 1:
-            raise InconsistentPieceError(
-                f"itinerary changes inside subsector at "
-                f"[{sub.start_angle:.12f}, {sub.start_angle + sub.width:.12f})")
-        probed.append((sub, words[0][0], words[0][1]))
-
-    # merge adjacent subsectors that turned out to carry the same word:
+    # adjacent subsectors that turn out to carry the same word merge:
     # spurious candidates (e.g. deep preimages) do not create new pieces
     merged: list[tuple[Sector, str, int]] = []
-    for sub, word, steps in probed:
+    for sub in sector.subdivide(interior):
+        # (word, steps) of the probes; steps is the word's length
+        words = {_first_return(params, (math.cos(t), math.sin(t)), sector,
+                               budget)
+                 for t in map(sub.angle_at, (0.25, 0.5, 0.75))}
+        if len(words) != 1:
+            raise InconsistentPieceError(
+                f"itinerary changes inside subsector at "
+                f"[{sub.start.angle:.12f}, {sub.start.angle + sub.width:.12f})")
+        (word, steps), = words
         if merged and merged[-1][1] == word:
-            prev = merged[-1]
-            merged[-1] = (Sector(prev[0].start, sub.end), word, steps)
-        else:
-            merged.append((sub, word, steps))
-
-    pieces = [
-        ReturnPiece(sub, word, word_matrix(params, word), steps)
-        for sub, word, steps in merged
-    ]
-    return ReturnMap(sector, pieces)
+            sub = Sector(merged.pop()[0].start, sub.end)
+        merged.append((sub, word, steps))
+    return ReturnMap(sector, [ReturnPiece(sub, word, word_matrix(params, word),
+                                          steps) for sub, word, steps in merged])
 
 
 def commutator_residual(m1: Mat2, m2: Mat2) -> float:
@@ -375,8 +431,10 @@ def orbit_relation(
     a component beyond ``OVERFLOW_LIMIT``.  Absence within the budget
     is a valid result (None).  Both directions are
     :func:`~pwlin.core.walk_chain` lanes: forward from (0, 1), backward
-    from the swapped start (1, 0), read back swapped.
+    from the swapped start (1, 0), read back swapped.  A non-finite
+    slope raises :class:`~pwlin.errors.DomainError`.
     """
+    check_slopes(params)
     src = (0.0, 1.0)
     lanes = {1: (0.0, 1.0), -1: (1.0, 0.0)}  # sign of n: walk start
     for done, m in _chunks(max_iter, MAX_CHUNK):
@@ -413,14 +471,16 @@ def distinguished_set(params: Params, relation: OrbitRelation) -> list[Point]:
     """The |n| orbit points joining (0,1) and (0,-1), sorted CCW.
 
     Requires the lam = -1 case.  The points keep their true magnitudes;
-    the list starts at the smallest angle in [0, 2*pi).
+    the list starts at the first point CCW from the positive x axis,
+    that axis included (:func:`ccw_key`).
     """
     if relation.lam >= 0:
         raise ArgumentError("distinguished set needs the lam = -1 relation")
-    start = (0.0, 1.0) if relation.n > 0 else (0.0, -1.0)
+    x, y = relation.source  # (0, 1), in the relation's number type
+    start = (x, y) if relation.n > 0 else (x, -y)
     orbit, _ = iterate(params, start, relation.index)
     points = orbit[1:]
-    points.sort(key=angle_of)
+    points.sort(key=ccw_key((1, 0)))
     return points
 
 

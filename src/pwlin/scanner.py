@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circle import TWO_PI, RotationEstimate, rotation_number, snap_rational
-from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params,
+from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params, check_slopes,
                    iterate, rescale_chunk, walk_chain, word_matrix)
-from .errors import ArgumentError, DomainError, OrbitOverflowError, PwlinError
+from .errors import ArgumentError, OrbitOverflowError, PwlinError
 
 
 class Verdict(enum.Enum):
@@ -125,9 +125,7 @@ def classify(params: Params, budget: int = 100_000,
     """
     if budget < MIN_BUDGET:
         raise ArgumentError(_BUDGET_ERROR)
-    if not (math.isfinite(params.a) and math.isfinite(params.b)):
-        raise DomainError(
-            f"slopes must be finite, got a={params.a!r}, b={params.b!r}")
+    check_slopes(params)
     est = rotation_number(params, (1.0, 0.0), budget)
     return _decide(params, est,
                    norm_runs(params, budget, config.divergence_ratio), config)

@@ -5,7 +5,9 @@ replaced; the tests compare the library against them.
 """
 import math
 
-from pwlin.circle import TWO_PI
+import numpy as np
+
+from pwlin.circle import TWO_PI, angle_of
 from pwlin.core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step, step,
                         word_matrix)
 from pwlin.errors import DegenerateError, NoReturnError, OrbitOverflowError
@@ -83,16 +85,14 @@ def iterate_backward(params, p0, n):
 
 def first_preimage_in(params, target, sector, i_min=0, max_iter=10000):
     """:func:`pwlin.returnmap.first_preimage_in` as one float loop:
-    ``inverse_step``'s arithmetic and overflow test, then
-    ``Sector.contains``'s, inline at each step."""
+    ``inverse_step``'s arithmetic and overflow test, inline, then
+    ``Sector.contains`` at each step."""
     if target[0] == 0 and target[1] == 0:
         raise DegenerateError("target must be nonzero")
     a, b = params.a, params.b
-    start_angle = sector.start_angle
-    width = sector.width
     x, y = target
     for i in range(max_iter + 1):
-        if i >= i_min and _inside(x, y, start_angle, width):
+        if i >= i_min and sector.contains((x, y)):
             return Ray.through((x, y)), i
         ny = (a if y >= 0 else b) * y - x
         if abs(ny) > OVERFLOW_LIMIT or abs(y) > OVERFLOW_LIMIT:
@@ -110,11 +110,10 @@ def first_return(params, u, sector, budget, margin=0.0):
     ``margin`` > 0 the result is None as soon as a point comes within
     ``margin`` of the vertical axis (relative |x|, which signs the word)
     or of a sector boundary (radians), where rounding can decide the
-    outcome."""
+    outcome; the sector test is :func:`angle_contains`'s arithmetic."""
     x, y = u
     a, b = params.a, params.b
-    start_angle = sector.start_angle
-    width = sector.width
+    start_angle, width = _angles(sector)
     signs = []
     for k in range(1, budget + 1):
         if abs(x) < margin * math.hypot(x, y):
@@ -141,8 +140,6 @@ def first_return_rescaled(params, u, sector, budget, seams):
     tested after every step.  These are the chunked walk's float
     operations, so the two agree bit for bit."""
     a, b = params.a, params.b
-    start_angle = sector.start_angle
-    width = sector.width
     x, y = u
     signs = []
     for k in range(budget):
@@ -153,28 +150,93 @@ def first_return_rescaled(params, u, sector, budget, seams):
         x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
         if not 0.0 < abs(x) + abs(y) < math.inf:
             raise NoReturnError("orbit degenerated before returning")
-        if _inside(x, y, start_angle, width):
+        if sector.contains((x, y)):
             return "".join(signs), k + 1
     raise NoReturnError(f"no return to the sector within {budget} steps")
 
 
-def _inside(x, y, start_angle, width):
-    """``Sector.contains`` on a float point, inline."""
-    return _rel(x, y, start_angle) < width
+# ---- angle-based sector membership, replaced by exact cross-product signs ----
+
+#: Angular distance (rad) from a boundary within which :func:`gap_sectors`
+#: falls back to the per-point test.
+BOUNDARY_SLACK = 1e-9
 
 
-def _rel(x, y, start_angle):
-    """CCW offset of the point's angle from start_angle, as
-    ``Sector.contains`` computes it."""
-    t = math.atan2(y, x)
+def _angles(sector):
+    """The sector's start angle and CCW width in [0, 2*pi), reduced as
+    the angle-based test reduced them."""
+    return sector.start.angle, _mod_two_pi(sector.end.angle - sector.start.angle)
+
+
+def _mod_two_pi(t):
+    t = math.fmod(t, TWO_PI)
     if t < 0.0:
         t += TWO_PI
     if t >= TWO_PI:
         t = 0.0
+    return t
+
+
+def rel_angle(t, start_angle):
+    """CCW offset of angle t from start_angle, in [0, 2*pi]; one that
+    rounds up to 2*pi is kept, so the point stays outside."""
     rel = math.fmod(t - start_angle, TWO_PI)
     if rel < 0.0:
         rel += TWO_PI
     return rel
+
+
+def angle_contains(sector, p):
+    """Sector membership by ``angle_of`` and the reduced angles: the
+    point's CCW offset from the start ray is below the width."""
+    start_angle, width = _angles(sector)
+    return rel_angle(angle_of(p), start_angle) < width
+
+
+def angle_gap(sector, p):
+    """Angular distance (rad) of p from the nearer of the sector's rays."""
+    start_angle, width = _angles(sector)
+    rel = rel_angle(angle_of(p), start_angle)
+    return min(rel, TWO_PI - rel, abs(rel - width), TWO_PI - abs(rel - width))
+
+
+def _rel(x, y, start_angle):
+    """CCW offset of the point's angle from start_angle, as
+    :func:`angle_contains` computes it."""
+    return rel_angle(angle_of((x, y)), start_angle)
+
+
+def gap_sectors(sectors, x, y):
+    """Index of the first sector holding each float point (x[k], y[k]) by
+    :func:`angle_contains`, or -1, looked up in a table of angular gaps.
+
+    The sector boundaries (every start angle and its end
+    ``fmod(start + width, 2*pi)``, plus 0 and 2*pi) cut [0, 2*pi] into
+    gaps; each gap's owner is the per-point test at its midpoint, and a
+    last slot of -1 follows the table, where a NaN angle sorts.  Points
+    within ``BOUNDARY_SLACK`` of a boundary take the per-point test."""
+    spans = [_angles(s) for s in sectors]
+
+    def first(t):
+        return next((i for i, (start, width) in enumerate(spans)
+                     if rel_angle(t, start) < width), -1)
+
+    cuts = np.unique([0.0, TWO_PI, *(start for start, _ in spans),
+                      *(math.fmod(start + width, TWO_PI)
+                        for start, width in spans)])
+    owner = np.array([first(0.5 * (lo + hi))
+                      for lo, hi in zip(cuts[:-1], cuts[1:])] + [-1])
+    with np.errstate(invalid="ignore"):
+        t = np.arctan2(y, x)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    lo = np.searchsorted(cuts, t - BOUNDARY_SLACK)
+    hi = np.searchsorted(cuts, t + BOUNDARY_SLACK, side="right")
+    clear = lo == hi
+    sec = np.empty(len(t), dtype=np.intp)
+    sec[clear] = owner[lo[clear] - 1]
+    for k in np.flatnonzero(~clear).tolist():
+        sec[k] = first(angle_of((float(x[k]), float(y[k]))))
+    return sec
 
 
 def orbit_relation(params, max_iter=10000, tol=1e-9):

@@ -32,6 +32,7 @@ from pwlin.errors import (
 from pwlin.returnmap import (Ray, Sector, distinguished_sectors,
                              distinguished_set)
 
+import oracles
 from conftest import A_SPECIAL, ALPHA0, B_SPECIAL, C_SPECIAL
 
 
@@ -262,26 +263,18 @@ def test_bad_snap_steps_raise_before_any_sector(monkeypatch, a, b):
 # ------------------- residual report against the scalar loop -------------------
 
 def _reference_residual_report(circle, orbit_len=100_000, start=(0.0, 1.0)):
-    """Per-point scalar loop over ``step``, ``angle_of``, the sectors in
-    CCW order and ``QuadraticForm.__call__``: the oracle that the
+    """Per-point scalar loop over ``step``, ``Sector.contains`` in the
+    arcs' CCW order and ``QuadraticForm.__call__``: the oracle that the
     chunked report must reproduce bit for bit."""
     per_sector = [0.0] * len(circle.arcs)
-    sector_data = [
-        (arc.sector.start_angle, arc.sector.width, arc.form, arc.level)
-        for arc in circle.arcs
-    ]
     p = start
     params = circle.params
     for _ in range(orbit_len):
         p = step(params, p)
-        t = angle_of(p)
-        for i, (start_angle, width, form, level) in enumerate(sector_data):
-            rel = math.fmod(t - start_angle, 2.0 * math.pi)
-            if rel < 0.0:
-                rel += 2.0 * math.pi
-            if rel < width:
-                scale = max(1.0, abs(level))
-                r = abs(form(p) - level) / scale
+        for i, arc in enumerate(circle.arcs):
+            if arc.sector.contains(p):
+                scale = max(1.0, abs(arc.level))
+                r = abs(arc.form(p) - arc.level) / scale
                 if r > per_sector[i]:
                     per_sector[i] = r
                 break
@@ -372,8 +365,8 @@ def _boundary_starts(circle):
     for arc in circle.arcs:
         sector = arc.sector
         points += [sector.start.direction, sector.end.direction]
-        angles += [sector.start_angle,
-                   math.fmod(sector.start_angle + sector.width, 2.0 * math.pi)]
+        angles += [sector.start.angle,
+                   math.fmod(sector.start.angle + sector.width, 2.0 * math.pi)]
     for t in angles:
         lo = hi = t
         for _ in range(12):
@@ -386,8 +379,7 @@ def _boundary_starts(circle):
 @pytest.mark.parametrize("name", ["A", "B", "B-ellipse"])
 def test_residual_report_on_sector_boundaries(report_circles, name):
     # one step each, so the per-sector maxima show the sector the point
-    # was given; numpy's and libm's atan2 can put such points on
-    # opposite sides of a boundary
+    # was given: a point on a ray goes to the sector that ray starts
     circle = report_circles[name]
     for start in _boundary_starts(circle):
         got = residual_report(circle, orbit_len=1, start=start)
@@ -395,16 +387,20 @@ def test_residual_report_on_sector_boundaries(report_circles, name):
 
 
 def test_residual_report_angle_rounding_to_two_pi(report_circles):
-    # atan2 gives -1e-300; adding 2*pi rounds to 2*pi, which angle_of
-    # maps to 0 (the point is off the circle, so its residual is not 0)
+    # atan2 gives -1e-300, and adding 2*pi rounds to 2*pi, which angle_of
+    # maps to 0; the cross-product signs keep the point clockwise of the
+    # x axis (it is off the circle, so its residual is not 0)
     circle = report_circles["A"]
     start = (-2e-300, -2.0)
-    assert step(circle.params, start) == (2.0, -2e-300)
-    assert angle_of((2.0, -2e-300)) == 0.0
+    point = step(circle.params, start)
+    assert point == (2.0, -2e-300)
+    assert angle_of(point) == 0.0
     got = residual_report(circle, orbit_len=1, start=start)
     assert got == _reference_residual_report(circle, 1, start=start)
     (hit,) = [i for i, r in enumerate(got[1]) if r > 0.0]
-    assert circle.arcs[hit].sector.contains_angle(0.0)
+    assert circle.arcs[hit].sector.contains(point)
+    assert not any(arc.sector.contains(point) for arc in circle.arcs[:hit])
+    assert not circle.arcs[hit].sector.contains((1.0, 0.0))
 
 
 def test_residual_report_overlapping_sectors_and_gap(report_circles):
@@ -427,6 +423,29 @@ def test_residual_report_overlapping_sectors_and_gap(report_circles):
     for start in _boundary_starts(edited):
         got = residual_report(edited, orbit_len=1, start=start)
         assert got == _reference_residual_report(edited, 1, start=start), start
+
+
+@pytest.mark.parametrize("name", ["A", "B", "B-ellipse"])
+def test_sector_lookup_agrees_with_gap_table(report_circles, name):
+    """Away from the rays, the first arc whose sector contains a point is
+    the one the angle-based gap table found, on the orbit of (0, 1) and
+    on random points of all sizes."""
+    circle = report_circles[name]
+    sectors = [arc.sector for arc in circle.arcs]
+    orbit = iterate(circle.params, (0.0, 1.0), 5000)[0]
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.uniform(-300, 300, 5000)
+    points = orbit + list(zip(scale * rng.standard_normal(5000),
+                              scale * rng.standard_normal(5000)))
+    x, y = np.array(points).T
+    table = oracles.gap_sectors(sectors, x, y)
+    clear = 0
+    for p, want in zip(points, table.tolist()):
+        if min(oracles.angle_gap(s, p) for s in sectors) > 1e-12:
+            clear += 1
+            assert next((i for i, s in enumerate(sectors) if s.contains(p)),
+                        -1) == want, p
+    assert clear > 9000
 
 
 @given(name=st.sampled_from(["A", "B", "B-ellipse"]),

@@ -1,5 +1,6 @@
 """CLI subcommands and exit codes."""
 import json
+import time
 
 import pytest
 
@@ -251,6 +252,24 @@ def test_out_of_range_arguments_are_usage_errors(tmp_path, monkeypatch,
     assert cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, b", [
+    (["return-map", "-a", "nan", "-b", "-0.067", "--start-deg", "180",
+      "--end-deg", "270", "--budget", "1000000"], "-0.067"),
+    (["circle", "-a", "nan", "-b", "1", "--max-iter", "1000000"], "1.0"),
+])
+def test_non_finite_slopes_are_refused_at_once(tmp_path, monkeypatch, capsys,
+                                               argv, b):
+    # the NaN orbit used to be walked through the whole budget first
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    assert cli(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"error: slopes must be finite, got a=nan, b={b}\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 

@@ -1,6 +1,7 @@
 """Sectors, first-return extraction, axis-orbit relations."""
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pwlin import (
     FamilyId,
     Mat2,
+    OrbitRelation,
     Params,
     Ray,
     Sector,
@@ -27,6 +29,7 @@ from pwlin.circle import angle_of
 from pwlin.core import inverse_step, rescale_chunk
 from pwlin.errors import (
     DegenerateError,
+    DomainError,
     NoReturnError,
     OrbitOverflowError,
     PwlinError,
@@ -57,6 +60,114 @@ def test_sector_wraparound():
 def test_sector_degenerate():
     with pytest.raises(DegenerateError):
         Sector(Ray.through((1.0, 0.0)), Ray.through((1.0, 0.0)))
+    with pytest.raises(DegenerateError):
+        Sector(Ray.through((3.0, -1.0)), Ray((0.75, -0.25)))
+
+
+def test_ray_keeps_its_direction():
+    # scaled by a power of two only, into [1, 2) when that is exact
+    assert Ray.through((3.0, -1.0)).direction == (1.5, -0.5)
+    assert Ray.through((0.0, 1.0)).direction == (0.0, 1.0)
+    assert Ray.through((1e300, 7e299)).direction == (
+        math.ldexp(1e300, -996), math.ldexp(7e299, -996))
+    # halving 5e-324 would round it away: the point is kept as given
+    assert Ray.through((3.0, 5e-324)).direction == (3.0, 5e-324)
+    third = Fraction(1, 3)
+    assert Ray.through((third, third)).direction == (third, third)
+    for bad in ((0.0, -0.0), (math.nan, 1.0), (1.0, -math.inf)):
+        with pytest.raises(DegenerateError, match="finite nonzero"):
+            Ray.through(bad)
+
+
+#: Narrow, quarter, straight (exactly pi) and reflex sectors, as start
+#: and end directions; the reflex one is family A's reference sector at
+#: a = 1.31.
+_SHAPES = {
+    "narrow": ((1.0, 0.0), (1.0, 1e-300)),
+    "quadrant": ((0.3, 0.7), (-0.7, 0.3)),
+    "straight": ((0.6, -0.8), (-0.6, 0.8)),
+    "reflex": None,
+}
+
+
+def _shape(name):
+    if name == "reflex":
+        from pwlin.families import reference_sector
+        sector = reference_sector(FamilyId.EX_A, 1.31)
+        assert sector.width > math.pi
+        return sector
+    u, v = _SHAPES[name]
+    return Sector(Ray.through(u), Ray.through(v))
+
+
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_power_of_two_multiples_of_the_rays(name):
+    """Every power-of-two multiple of the start direction is inside,
+    every one of the end direction outside; the opposite of the start
+    is inside exactly when the sector is wider than pi."""
+    sector = _shape(name)
+    u, v = sector.start.direction, sector.end.direction
+    seen = 0
+    for e in range(-1074, 1024, 7):
+        for d, want in ((u, True), (v, False)):
+            p = (math.ldexp(d[0], e), math.ldexp(d[1], e))
+            if (math.ldexp(p[0], -e), math.ldexp(p[1], -e)) != d:
+                continue  # rounded or overflowed: not a multiple of d
+            seen += 1
+            assert sector.contains(p) is want, (p, want)
+            assert sector.first_inside([p[0]], [p[1]], 0, 1) == (
+                0 if want else None)
+    assert seen > 400
+    assert sector.contains((-u[0], -u[1])) is (name == "reflex")
+    assert not sector.contains((0.0, 0.0))
+
+
+def test_exact_decisions_on_fractions():
+    """Membership, subdivision order and the distinguished-set sort on
+    Fraction directions, with a point exactly on a start ray."""
+    F = Fraction
+    quadrant = Sector(Ray.through((F(1), F(0))), Ray.through((F(0), F(1))))
+    assert quadrant.contains((F(5, 7), F(0)))           # on the start ray
+    assert not quadrant.contains((F(0), F(1, 9)))       # on the end ray
+    assert quadrant.contains((F(1, 10**30), F(1)))      # a hair inside
+    assert not quadrant.contains((F(-1, 10**30), F(1)))
+    u = (F(1, 3), F(2, 7))
+    sector = Sector(Ray.through(u), Ray.through((F(-1), F(-1, 5))))
+    assert sector.contains((3 * u[0], 3 * u[1]))
+    assert not sector.contains((-u[0], -u[1]))
+    cuts = [Ray.through((F(-1), F(1, 10**20))), Ray.through((F(1), F(1))),
+            Ray.through((F(-1), F(-1, 10**20))), Ray.through(u)]
+    with pytest.raises(DegenerateError):
+        sector.subdivide(cuts)  # u is the start ray: an empty piece
+    subs = sector.subdivide(cuts[:3])
+    assert [s.start for s in subs] == [sector.start, cuts[1], cuts[0],
+                                       cuts[2]]
+    assert all(s.end == t.start for s, t in zip(subs, subs[1:]))
+    # family A at a = 6/5 has b = -55/42: its 8-step relation is exact
+    params = Params(F(6, 5), F(-55, 42))
+    orbit, word = iterate(params, (F(0), F(-1)), 8)
+    assert orbit[-1] == (0, 1) and word == "++++-+++"
+    rel = OrbitRelation(-8, F(-1), (F(0), F(1)), (F(0), F(-1)))
+    points = distinguished_set(params, rel)
+    assert all(isinstance(c, Fraction) for p in points for c in p)
+    assert [orbit.index(p) for p in points] == [1, 6, 2, 7, 3, 8, 4, 5]
+    assert points == sorted(points, key=lambda p: angle_of(
+        (float(p[0]), float(p[1]))))
+    sectors = distinguished_sectors(points)
+    for i, sector in enumerate(sectors):  # each point is on a start ray
+        assert sector.contains(points[i])
+        assert not sectors[i - 1].contains(points[i])
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, -0.067), (1.2, math.inf),
+                                  (-math.inf, 1.0)])
+def test_non_finite_slopes_are_refused(a, b):
+    params = Params(a, b)
+    sector = Sector(Ray.at_angle(math.pi), Ray.at_angle(1.5 * math.pi))
+    for call in (lambda: return_map(params, sector),
+                 lambda: orbit_relation(params)):
+        with pytest.raises(DomainError, match=f"a={a!r}, b={b!r}"):
+            call()
 
 
 # --------------------------- preimages ---------------------------
@@ -184,8 +295,12 @@ def test_first_return_matches_oracle(a, b, t, start, width, budget):
 def test_orbit_relation_matches_oracle(a, b, max_iter, tol):
     """The two walk_chain lanes find the relation (or the escape, the
     DegenerateError, the None) of the interleaved step/inverse_step
-    loop."""
+    loop.  A non-finite slope is refused before any walk."""
     args = (Params(a, b), max_iter, tol)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            orbit_relation(*args)
+        return
     assert _outcome(orbit_relation, *args) == _outcome(
         oracles.orbit_relation, *args)
 
@@ -220,6 +335,25 @@ def test_first_inside_is_contains(start, width, points, lo, hi):
     want = next((k for k in range(lo, min(hi, len(points)))
                  if sector.contains(points[k])), None)
     assert sector.first_inside(xs, ys, lo, hi) == want
+
+
+_FAR = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+
+@given(_ANGLES, st.floats(0.01, 6.2),
+       st.lists(st.tuples(_FAR, _FAR), min_size=1, max_size=20))
+def test_contains_agrees_with_angle_oracle(start, width, points):
+    """The exact sign rule and the old angle test agree on every point
+    more than 1e-12 rad from both rays, per point and over a range."""
+    sector = _sector(start, width)
+    clear = [p for p in points if p != (0.0, 0.0)
+             and oracles.angle_gap(sector, p) > 1e-12]
+    for p in clear:
+        assert sector.contains(p) == oracles.angle_contains(sector, p), p
+    xs, ys = [p[0] for p in clear], [p[1] for p in clear]
+    want = next((k for k, p in enumerate(clear)
+                 if oracles.angle_contains(sector, p)), None)
+    assert sector.first_inside(xs, ys, 0, len(clear)) == want
 
 
 # --------------------------- return maps ---------------------------
@@ -267,7 +401,7 @@ def test_return_pieces_land_in_sector(params_a12):
         t = sub.angle_at(0.5)
         u = (math.cos(t), math.sin(t))
         image = piece.matrix.apply(u)
-        rel = (angle_of(image) - sector.start_angle) % (2 * math.pi)
+        rel = (angle_of(image) - sector.start.angle) % (2 * math.pi)
         assert rel < sector.width + 1e-10
 
 
@@ -326,7 +460,7 @@ def test_return_pieces_tile_sector(a, b, start, width):
     subs = [piece.subsector for piece in rmap.pieces]
     assert subs[0].start == sector.start and subs[-1].end == sector.end
     assert all(s.end == t.start for s, t in zip(subs, subs[1:]))
-    offsets = [(s.start_angle - sector.start_angle) % (2 * math.pi)
+    offsets = [(s.start.angle - sector.start.angle) % (2 * math.pi)
                for s in subs[1:]]
     assert offsets == sorted(offsets)
     assert all(0.0 < o < sector.width for o in offsets)
@@ -468,12 +602,12 @@ def test_step_count_additivity(params_a12):
     sector, _ = _reference_sector_a(params_a12)
     rmap = return_map(params_a12, sector)
     bp_angle = rmap.pieces[1].subsector.start.angle
-    rel_bp = (bp_angle - sector.start_angle) % (2 * math.pi)
+    rel_bp = (bp_angle - sector.start.angle) % (2 * math.pi)
     t = sector.angle_at(0.37)
     u = (math.cos(t), math.sin(t))
     m1 = m2 = 0
     for _ in range(2000):
-        rel = (angle_of(u) - sector.start_angle) % (2 * math.pi)
+        rel = (angle_of(u) - sector.start.angle) % (2 * math.pi)
         piece = rmap.pieces[0] if rel < rel_bp else rmap.pieces[1]
         if piece is rmap.pieces[0]:
             m1 += 1

@@ -119,21 +119,11 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     start) and for the first steps of a start outside that band.
 
     Other inputs (mpmath floats, ``Fraction``) use the winding identity
-    instead of an angle per step.  Each step's lift increment lies in
-    (-pi/2, 3*pi/2) and the new point's y is the old point's x, so the
-    increment is the raw angle difference plus a full turn exactly at
-    the steps taken from a point with ``x < 0 <= y``, and never minus
-    one.  With ``W`` those steps (the ``+-`` pairs of the sign word,
-    plus one if it starts with ``-`` and ``y_0 >= 0``)::
-
-        value = (W + (atan2(y_N, x_N) - atan2(y_0, x_0)) / (2*pi)) / N
-
-    which takes two ``atan2`` calls instead of N.  It differs from
-    summing the N rounded increments by at most ``N * 2**(1 - prec)``.
-    Finite ``mpf`` inputs of one context are stepped on raw tuples by
-    :func:`walk_mpf` in blocks of ``ROTATION_BLOCK`` steps; the rest
-    take a duck-typed loop, and give nan when the orbit passes through
-    a non-finite point.
+    of :func:`winding_value` instead of an angle per step.  They are
+    walked in blocks of ``ROTATION_BLOCK`` steps: finite ``mpf`` inputs
+    of one context on raw tuples by :func:`walk_mpf`, the rest by the
+    duck-typed :func:`walk_chain`; those give nan when the orbit passes
+    through a non-finite point.
     """
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
@@ -142,35 +132,47 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     if mm is math:
         return _rotation_float(params, float(x), float(y), steps)
     a, b = params.a, params.b
-    turns = 0
     ctx = mpf_context(a, b, x, y)
-    if ctx is not None:
-        ra, rb, rx, ry = a._mpf_, b._mpf_, x._mpf_, y._mpf_
-        for lo in range(0, steps, ROTATION_BLOCK):
-            chain = walk_mpf(ra, rb, rx, ry, min(ROTATION_BLOCK, steps - lo),
+    turns, end = 0, (x, y)
+    for lo in range(0, steps, ROTATION_BLOCK):
+        m = min(ROTATION_BLOCK, steps - lo)
+        # point k of the block is (chain[k + 1], chain[k]); count the
+        # steps from x < 0 <= y: x negative, y (the previous x) not
+        if ctx is not None:  # the sign field marks x < 0
+            chain = walk_mpf(a._mpf_, b._mpf_, end[0]._mpf_, end[1]._mpf_, m,
                              ctx._prec_rounding)
-            # steps from x < 0 <= y: x negative, y (the previous x) not
             turns += sum(1 for v, u in zip(chain[1:-1], chain)
                          if v[0] and not u[0])
-            ry, rx = chain[-2:]
-        x_n, y_n = ctx.make_mpf(rx), ctx.make_mpf(ry)
-    else:
-        x_n, y_n = x, y
-        finite = x - x == 0 and y - y == 0  # False for nan and +-inf
-        for _ in range(steps):
-            if x_n < 0 <= y_n:
-                turns += 1
-            x_n, y_n = ((a * x_n - y_n, x_n) if x_n >= 0
-                        else (b * x_n - y_n, x_n))
-            finite = finite and x_n - x_n == 0
-        if not finite:  # the identity needs every angle of the orbit
-            return RotationEstimate(mm.nan, steps, 1.0 / steps)
-    delta = mm.atan2(y_n, x_n) - mm.atan2(y, x)
-    value = (turns + delta / (2 * mm.pi)) / steps
-    return RotationEstimate(value, steps, 1.0 / steps)
+            end = ctx.make_mpf(chain[-1]), ctx.make_mpf(chain[-2])
+        else:
+            chain = walk_chain(a, b, *end, m)
+            if not all(v - v == 0 for v in chain):  # nan and +-inf
+                return RotationEstimate(mm.nan, steps, 1.0 / steps)
+            turns += sum(1 for v, u in zip(chain[1:-1], chain) if v < 0 <= u)
+            end = chain[-1], chain[-2]
+    return RotationEstimate(winding_value(turns, (x, y), end, steps, mm),
+                            steps, 1.0 / steps)
 
 
-#: Angles per numpy block in ``_rotation_float``; bounds its memory.
+def winding_value(turns: int, start: Point, end: Point, steps: int, mm=math):
+    """Mean lift increment, in turns, of ``steps`` steps from ``start``
+    to ``end``, ``turns`` of them taken from a point with ``x < 0 <= y``
+    (``mm`` is :mod:`math` or :mod:`mpmath`).
+
+    The winding identity: a step's lift increment lies in
+    (-pi/2, 3*pi/2) and the new point's y is the old point's x, so the
+    increment is the raw ``atan2`` difference plus a full turn exactly
+    at those steps, never minus one.  Two ``atan2`` calls replace N,
+    and the value differs from the sum of N rounded increments by about
+    N rounding errors at most.  The count reads a float ``y = -0.0`` as
+    ``y >= 0`` but ``math.atan2`` puts ``(x < 0, -0.0)`` at -pi, so
+    float callers pass such a ``y`` as ``+0.0`` (mpf has no -0).
+    """
+    delta = mm.atan2(end[1], end[0]) - mm.atan2(start[1], start[0])
+    return (turns + delta / (2 * mm.pi)) / steps
+
+
+#: Steps per block of the rotation walks; bounds their memory.
 ROTATION_BLOCK = 4096
 _HALF_PI = 0.5 * math.pi
 _THREE_HALF_PI = 1.5 * math.pi

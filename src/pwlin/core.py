@@ -86,14 +86,10 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     itinerary of the traversed segment read in forward order, so
     ``word_matrix(word)`` always maps the last orbit point to the first.
 
-    Winding identity: the lift of the circle map adds a full turn to the
-    raw ``atan2`` difference exactly at the steps taken from a point
-    with ``x < 0 <= y``, that is, at the ``+-`` pairs of a forward word,
-    plus the first step when the word starts with ``-`` and
-    ``y_0 >= 0``.  So the angular advance over a forward run is that
-    count ``W`` of turns plus ``atan2(y_n, x_n) - atan2(y_0, x_0)``
-    (see :func:`pwlin.circle.rotation_number`).  A float start with a
-    ``-0.0`` component can shift ``W`` by one.
+    The steps of a forward run taken from a point with ``x < 0 <= y``
+    (its word's ``+-`` pairs, plus the first step when the word starts
+    with ``-`` and ``y_0 >= 0``) are the whole turns of the lift of the
+    circle map: see :func:`pwlin.circle.winding_value`.
 
     A backward run is the forward run from the swapped start ``(y, x)``
     with every point swapped back and the word reversed, since
@@ -273,33 +269,31 @@ def word_matrix(params: Params, word: str) -> Mat2:
 
     Applied to a point whose itinerary matches ``word``, the product
     reproduces the corresponding orbit iterate; its determinant is 1.
-    Double inputs are accumulated in extended precision: the slopes blow
-    up near the parameter poles of the relation families, and the
-    resulting cancellations would otherwise eat the 1e-12 identity
-    margin.  The result is rounded back to doubles.  Other inputs keep
-    their own numeric type (``Fraction`` slopes give an exact product).
+    The product is taken in the slopes' own numeric type (``Fraction``
+    slopes give an exact one), except that double slopes are promoted
+    to ``np.longdouble`` and the result rounded back to doubles: the
+    slopes blow up near the parameter poles of the relation families,
+    and the resulting cancellations would otherwise eat the 1e-12
+    identity margin.  ``np.finfo(np.longdouble).nmant`` is 63 where
+    longdouble is x87 extended precision (x86-64 Linux), 112 where it
+    is IEEE quad (aarch64 Linux); where it is plain double (52: Windows,
+    macOS on Apple silicon) that margin is lost.
     """
     a, b = params.a, params.b
-    if isinstance(a, float) and isinstance(b, float):
+    wide = isinstance(a, float) and isinstance(b, float)
+    if wide:
         import numpy as np
 
-        one = np.longdouble(1.0)
-        m11, m12, m21, m22 = one, one * 0, one * 0, one
-        al, bl = np.longdouble(a), np.longdouble(b)
-        for ch in word:
-            slope = al if ch == PLUS else bl
-            m11, m12, m21, m22 = (slope * m11 - m21, slope * m12 - m22,
-                                  m11, m12)
-        # saturating conversion: entries beyond the double range become inf
-        return Mat2(float(np.float64(m11)), float(np.float64(m12)),
-                    float(np.float64(m21)), float(np.float64(m22)))
-    # seed the product in the slopes' own type, so exact inputs stay exact
+        a, b = np.longdouble(a), np.longdouble(b)
     one = a ** 0
     m11, m12, m21, m22 = one, one - one, one - one, one
     for ch in word:
         slope = a if ch == PLUS else b
         # left-multiply by [[slope, -1], [1, 0]]
         m11, m12, m21, m22 = (slope * m11 - m21, slope * m12 - m22, m11, m12)
+    if wide:  # saturating: entries beyond the double range become inf
+        m11, m12, m21, m22 = (float(np.float64(v))
+                              for v in (m11, m12, m21, m22))
     return Mat2(m11, m12, m21, m22)
 
 

@@ -370,9 +370,12 @@ def return_map(
     exact known directions (deterministic boundary assignment).
     Candidates within ``RAY_DEDUP_TOL`` of the boundary or of a kept
     one are dropped; the rest cut the sector in CCW order
-    (:meth:`Sector.subdivide`).  A non-finite slope raises
+    (:meth:`Sector.subdivide`).  A budget below 1 raises
+    :class:`~pwlin.errors.ArgumentError`, a non-finite slope
     :class:`~pwlin.errors.DomainError`.
     """
+    if budget < 1:
+        raise ArgumentError(f"budget must be >= 1, got {budget}")
     check_slopes(params)
     interior: list[Ray] = []
     for target, i_min in (((0.0, 1.0), 0), ((0.0, -1.0), 0),
@@ -431,9 +434,12 @@ def orbit_relation(
     a component beyond ``OVERFLOW_LIMIT``.  Absence within the budget
     is a valid result (None).  Both directions are
     :func:`~pwlin.core.walk_chain` lanes: forward from (0, 1), backward
-    from the swapped start (1, 0), read back swapped.  A non-finite
-    slope raises :class:`~pwlin.errors.DomainError`.
+    from the swapped start (1, 0), read back swapped.  A ``max_iter``
+    below 1 raises :class:`~pwlin.errors.ArgumentError`, a non-finite
+    slope :class:`~pwlin.errors.DomainError`.
     """
+    if max_iter < 1:
+        raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
     check_slopes(params)
     src = (0.0, 1.0)
     lanes = {1: (0.0, 1.0), -1: (1.0, 0.0)}  # sign of n: walk start

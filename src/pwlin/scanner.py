@@ -10,8 +10,10 @@ chunk: :func:`classify` feeds it :func:`~pwlin.core.walk_chain` chunks
 of one cell, :func:`scan` the numpy lanes of all cells of a grid, and
 :func:`scan` then decides each cell with the code of :func:`classify`.
 Verdicts, snaps, ``periodic_q`` and the norm columns match per-cell
-:func:`classify` bit for bit; the rotation value agrees with it to
-1e-12 relative (numpy's ``arctan2`` against :mod:`math`'s).
+:func:`classify` bit for bit.  :func:`scan` takes the rotation value by
+counting turns (:func:`~pwlin.circle.winding_value`) where
+:func:`classify` sums N angles; on the 41x41 grid over [-2, 2]^2 they
+agree to 1.8e-13 relative at budget 1e4 and 1.8e-12 at 1e5.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import TWO_PI, RotationEstimate, rotation_number, snap_rational
+from .circle import (RotationEstimate, rotation_number, snap_rational,
+                     winding_value)
 from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params, check_slopes,
                    iterate, rescale_chunk, walk_chain, word_matrix)
 from .errors import ArgumentError, OrbitOverflowError, PwlinError
@@ -258,10 +261,12 @@ def _orbit_stats(cells: list[Params], budget: int,
     cells, as :func:`classify` computes them one cell at a time.
 
     Each cell has two lanes, laid out as in :class:`_NormRuns`: the
-    (1, 0) lanes give both the rotation sum and the backward norm run.
-    Each step stores the new x into a chunk buffer; the previous row is
-    y.  Per chunk, angles are summed in the order of the scalar loop,
-    and lanes are rescaled by exact powers of two.
+    (1, 0) lanes give both the rotation estimate and the backward norm
+    run.  A chunk buffer holds ``[y, x, x_1, ..., x_m]`` per lane, as
+    :func:`~pwlin.core.walk_chain` does; between chunks its last two
+    rows are rescaled by an exact power of two into the first two.  The
+    rotation estimate is :func:`~pwlin.circle.winding_value` of each
+    (1, 0) lane's count of steps from ``x < 0 <= y`` and its last point.
     """
     n = len(cells)
     a = np.array([c.a for c in cells], dtype=float)
@@ -269,54 +274,36 @@ def _orbit_stats(cells: list[Params], budget: int,
     slope_a, slope_b = np.tile(a, 2), np.tile(b, 2)
     chunk = rescale_chunk((np.abs(a).max(), np.abs(b).max()), _CHUNK)
 
-    buf = np.empty((chunk + 1, 2 * n))
+    buf = np.empty((chunk + 2, 2 * n))
     rows = list(buf)
-    buf[0] = np.repeat([1.0, 0.0], n)
-    y = np.repeat([0.0, 1.0], n)
+    buf[0] = np.repeat([0.0, 1.0], n)
+    buf[1] = np.repeat([1.0, 0.0], n)
     expo = np.zeros(2 * n, dtype=np.int64)  # true lane = buffer * 2**expo
     nonneg = np.empty(2 * n, dtype=bool)
-
-    two_pi, half_pi, three_half_pi = TWO_PI, 0.5 * math.pi, 1.5 * math.pi
-    angle = np.zeros((chunk + 1, n))  # row 0: the last angle so far
-    turns = np.zeros((chunk + 1, n))  # row 0 carries the running total
-
+    turns = np.zeros(n, dtype=np.int64)
     runs = _NormRuns(n, chunk, cap)
 
     done = 0
     while done < budget:
         m = min(chunk, budget - done)
-        x = buf[0]
-        for row in rows[1:m + 1]:
+        for y, x, row in zip(rows, rows[1:m + 1], rows[2:m + 2]):
             np.greater_equal(x, 0.0, out=nonneg)
             np.multiply(np.where(nonneg, slope_a, slope_b), x, out=row)
             np.subtract(row, y, out=row)
-            x, y = row, x
-        xs, ys = buf[1:m + 1], buf[:m]
+        turns += np.count_nonzero(
+            (buf[1:m + 1, :n] < 0.0) & (buf[:m, :n] >= 0.0), axis=0)
+        runs.fold(buf[2:m + 2], buf[1:m + 1], expo)
 
-        t = angle[:m + 1]
-        np.arctan2(ys[:, :n], xs[:, :n], out=t[1:])
-        acc = turns[:m + 1]
-        d = np.subtract(t[1:], t[:-1], out=acc[1:])
-        # both masks from the unwrapped d: d + 2pi can round to 3pi/2
-        wrap_up, wrap_down = d < -half_pi, d >= three_half_pi
-        np.add(d, two_pi, out=d, where=wrap_up)
-        np.subtract(d, two_pi, out=d, where=wrap_down)
-        np.divide(d, two_pi, out=d)
-        np.add.accumulate(acc, axis=0, out=acc)
-        acc[0] = acc[m]
-        t[0] = t[m]
-
-        runs.fold(xs, ys, expo)
-
-        _, e = np.frexp(np.maximum(np.abs(x), np.abs(y)))
-        y = np.ldexp(y, -e)
-        buf[0] = np.ldexp(x, -e)
+        _, e = np.frexp(np.abs(buf[m:m + 2]).max(axis=0))
+        np.ldexp(buf[m:m + 2], -e, out=buf[:2])
         expo += e
         done += m
 
-    return [(RotationEstimate(value, budget, 1.0 / budget), stats)
-            for value, stats in zip((turns[0] / budget).tolist(),
-                                    runs.stats())]
+    # + 0.0 turns a y of -0.0, which the count read as y >= 0, into +0.0
+    ends = zip(buf[1, :n].tolist(), (buf[0, :n] + 0.0).tolist())
+    return [(RotationEstimate(winding_value(t, (1.0, 0.0), end, budget),
+                              budget, 1.0 / budget), stats)
+            for t, end, stats in zip(turns.tolist(), ends, runs.stats())]
 
 
 class _NormRuns:

@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from pwlin.circle import TWO_PI, angle_of
-from pwlin.core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step, step,
-                        word_matrix)
+from pwlin.core import MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step, step
 from pwlin.errors import DegenerateError, NoReturnError, OrbitOverflowError
 from pwlin.returnmap import OrbitRelation, Ray
 
@@ -289,3 +288,25 @@ def period_matrix_residual(params, q):
         u = (u[0] / r, u[1] / r)
     m = word_matrix(params, "".join(signs))
     return min(m.dist(Mat2.identity()), m.dist(Mat2(-1.0, 0.0, 0.0, -1.0)))
+
+
+def word_matrix(params, word):
+    """:func:`pwlin.core.word_matrix` with one product loop for double
+    slopes, in ``np.longdouble``, and another for every other type."""
+    a, b = params.a, params.b
+    if isinstance(a, float) and isinstance(b, float):
+        one = np.longdouble(1.0)
+        m11, m12, m21, m22 = one, one * 0, one * 0, one
+        al, bl = np.longdouble(a), np.longdouble(b)
+        for ch in word:
+            slope = al if ch == PLUS else bl
+            m11, m12, m21, m22 = (slope * m11 - m21, slope * m12 - m22,
+                                  m11, m12)
+        return Mat2(float(np.float64(m11)), float(np.float64(m12)),
+                    float(np.float64(m21)), float(np.float64(m22)))
+    one = a ** 0
+    m11, m12, m21, m22 = one, one - one, one - one, one
+    for ch in word:
+        slope = a if ch == PLUS else b
+        m11, m12, m21, m22 = (slope * m11 - m21, slope * m12 - m22, m11, m12)
+    return Mat2(m11, m12, m21, m22)

@@ -245,6 +245,11 @@ def test_precision_env_is_scoped(tmp_path, monkeypatch, capsys):
     (["return-map", "-a", "0.1", "-b", "-0.06703893950752593",
       "--start-deg", "180", "--end-deg=-inf"],
      "--end-deg must be finite, got -inf"),
+    (["circle", "-a", "1.189207115002721", "-b", "-1.189207115002721",
+      "--max-iter", "0"], "max_iter must be >= 1, got 0"),
+    (["return-map", "-a", "1.189207115002721", "-b", "-1.189207115002721",
+      "--start-deg", "180", "--end-deg", "270", "--budget", "0"],
+     "budget must be >= 1, got 0"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, monkeypatch,
                                                 capsys, argv, message):

@@ -119,6 +119,30 @@ def test_word_matrix_determinant_long_words():
         assert abs(m.det() - 1.0) <= 1e-12 * max(1.0, m.max_abs() ** 2)
 
 
+_WORD_SLOPES = st.one_of(
+    st.floats(-2.5, 2.5), st.floats(-60.0, 60.0),
+    st.sampled_from([0.0, -0.0, 1e20, -1e100, 1e300, 2.0 ** 1000,
+                     math.inf, -math.inf, math.nan]))
+
+
+@given(a=_WORD_SLOPES, b=_WORD_SLOPES,
+       word=st.text(alphabet="+-", max_size=256))
+def test_word_matrix_matches_two_branch_oracle(a, b, word):
+    """Bit for bit, nan and the sign of zero included, up to the
+    scanner's q = 256."""
+    import numpy as np
+
+    from oracles import word_matrix as two_branch
+
+    params = Params(a, b)
+    with np.errstate(all="ignore"):
+        got, want = word_matrix(params, word), two_branch(params, word)
+    for g, w in zip(vars(got).values(), vars(want).values()):
+        assert type(g) is float and type(w) is float
+        assert (math.copysign(1.0, g) == math.copysign(1.0, w)
+                and (g == w or math.isnan(g) and math.isnan(w))), (g, w)
+
+
 def test_word_matrix_reproduces_iteration(params_a12):
     orbit, word = iterate(params_a12, (0.37, -0.81), 12)
     m = word_matrix(params_a12, word)

@@ -28,6 +28,7 @@ from pwlin import (
 from pwlin.circle import angle_of
 from pwlin.core import inverse_step, rescale_chunk
 from pwlin.errors import (
+    ArgumentError,
     DegenerateError,
     DomainError,
     NoReturnError,
@@ -168,6 +169,18 @@ def test_non_finite_slopes_are_refused(a, b):
                  lambda: orbit_relation(params)):
         with pytest.raises(DomainError, match=f"a={a!r}, b={b!r}"):
             call()
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budgets_below_one_are_argument_errors(params_a_special, budget):
+    # the certified a = 2**(1/4) point, so a bad budget is the only fault
+    sector = Sector(Ray.at_angle(math.pi), Ray.at_angle(1.5 * math.pi))
+    with pytest.raises(ArgumentError,
+                       match=f"budget must be >= 1, got {budget}"):
+        return_map(params_a_special, sector, budget=budget)
+    with pytest.raises(ArgumentError,
+                       match=f"max_iter must be >= 1, got {budget}"):
+        orbit_relation(params_a_special, max_iter=budget)
 
 
 # --------------------------- preimages ---------------------------

@@ -243,10 +243,11 @@ def test_scan_swap_symmetry():
 
 def _reference_orbit_stats(cells, budget, cap, chunk_cap=64):
     """The batched kernel as it was before per-lane thresholds: norms
-    scaled element by element, masked reductions over every chunk."""
+    scaled element by element, masked reductions over every chunk.  The
+    rotation value is the winding identity, its turns counted step by
+    step in the loop."""
     import numpy as np
 
-    from pwlin.circle import TWO_PI
     from pwlin.core import OVERFLOW_LIMIT, rescale_chunk
     from pwlin.scanner import _NormStats
 
@@ -263,9 +264,7 @@ def _reference_orbit_stats(cells, budget, cap, chunk_cap=64):
     expo = np.zeros(2 * n, dtype=np.int64)
     nonneg = np.empty(2 * n, dtype=bool)
 
-    two_pi, half_pi, three_half_pi = TWO_PI, 0.5 * math.pi, 1.5 * math.pi
-    prev = np.zeros(n)
-    turns = np.zeros((chunk + 1, n))
+    turns = np.zeros(n, dtype=np.int64)
 
     mx, mn, near = np.ones(2 * n), np.ones(2 * n), np.full(2 * n, math.inf)
     live = np.ones(2 * n, dtype=bool)
@@ -277,20 +276,11 @@ def _reference_orbit_stats(cells, budget, cap, chunk_cap=64):
         x = buf[0]
         for row in rows[1:m + 1]:
             np.greater_equal(x, 0.0, out=nonneg)
+            turns += ~nonneg[:n] & (y[:n] >= 0.0)  # a step from x < 0 <= y
             np.multiply(np.where(nonneg, slope_a, slope_b), x, out=row)
             np.subtract(row, y, out=row)
             x, y = row, x
         xs, ys = buf[1:m + 1], buf[:m]
-
-        t = np.arctan2(ys[:, :n], xs[:, :n])
-        d = np.diff(t, axis=0, prepend=prev[None])
-        d = np.where(d < -half_pi, d + two_pi,
-                     np.where(d >= three_half_pi, d - two_pi, d))
-        acc = turns[:m + 1]
-        np.divide(d, two_pi, out=acc[1:])
-        np.add.accumulate(acc, axis=0, out=acc)
-        acc[0] = acc[m]
-        prev = t[m - 1]
 
         if live.any():
             with np.errstate(over="ignore"):
@@ -316,7 +306,9 @@ def _reference_orbit_stats(cells, budget, cap, chunk_cap=64):
         expo += e
         done += m
 
-    values = (turns[0] / budget).tolist()
+    values = [(int(w) + (math.atan2(v + 0.0, u) - math.atan2(0.0, 1.0))
+               / (2 * math.pi))
+              / budget for w, u, v in zip(turns, buf[0, :n], y[:n])]
     mx, mn, near = mx.tolist(), mn.tolist(), near.tolist()
     return [(RotationEstimate(values[i], budget, 1.0 / budget),
              _NormStats(mx[n + i], mn[n + i], near[n + i], mx[i]))
@@ -382,6 +374,37 @@ def test_kernel_matches_reference_kernel(grid, budget, half_plane, cap):
     cells = _batched_cells(*grid, half_plane)
     assert cells
     _assert_kernel_matches_reference(cells, budget, cap)
+
+
+_WINDING_CELLS = [
+    Params(1.2, -1.3), Params(0.2, -0.7), Params(1.0, 1.0),
+    Params(C_SPECIAL, -C_SPECIAL),
+    # divergent: the unrescaled float orbit of (1, 0) overflows
+    Params(2.5, 2.5), Params(-2.4, -3.0),
+    # zero slopes put signed zeros on the orbit; a -0.0 slope puts a
+    # (x < 0, -0.0) point there, the last one when the budget is 2 mod 4
+    Params(0.0, 0.0), Params(0.0, -1.0), Params(-1.0, 0.0), Params(0.0, 1.5),
+    Params(-0.0, 0.0), Params(-0.0, -1.3),
+]
+
+
+@pytest.mark.parametrize("budget", [1000, 1002, 1003, 2000])
+def test_kernel_rotation_matches_mpf_rotation_number(budget):
+    """The kernel's rotation value against ``rotation_number`` on 53-bit
+    mpf inputs: their steps round as the float steps do, without
+    overflow or negative zeros.  A turn counted wrong would be 1/N off."""
+    import mpmath
+
+    import pwlin.scanner as scanner_mod
+    from pwlin import rotation_number
+
+    got = scanner_mod._orbit_stats(_WINDING_CELLS, budget, 1e6)
+    with mpmath.workprec(53):
+        mpf = mpmath.mpf
+        for params, (est, _) in zip(_WINDING_CELLS, got):
+            want = rotation_number(Params(mpf(params.a), mpf(params.b)),
+                                   (mpf(1), mpf(0)), budget).value
+            assert math.isclose(est.value, float(want), rel_tol=1e-14), params
 
 
 def _first_stop(params, start, cap, budget):

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .circle import rotation_number, snap_rational
+from .circle import rotation_brackets, rotation_number, snap_rational
 from .conics import (ConicArc, ConicClass, arc_in_sector, conic_class_of_trace,
                      invariant_form, level_through)
 from .core import OVERFLOW_LIMIT, Params, Point, walk_chain
@@ -32,6 +33,8 @@ MAX_GAP = 1e-6
 MAX_COMMUTATOR = 1e-8
 #: Rotation snaps with denominator <= this mark the map as periodic-suspect.
 PERIODIC_Q_MAX = 64
+#: Steps of the rotation bracket walk before the full snap walk is run.
+SNAP_BRACKET_STEPS = 8192
 #: Orbit points per numpy block in ``residual_report``; bounds its memory.
 RESIDUAL_CHUNK = 4096
 
@@ -72,10 +75,12 @@ def build_invariant_circle(
     inside it (no bounded invariant set: the divergent regime) raises
     its :class:`AsymptoteInSectorError` at once; other sector failures
     are collected while the rest are walked.  Only when no asymptote is
-    found is the rotation number estimated: when it snaps to a
-    small-denominator rational the map is suspected periodic and the
-    result is withheld as uncertifiable.  ``lam >= 0`` and
-    ``snap_check_steps < 1`` raise before any sector is walked.
+    found is the rotation number checked: when a ``snap_check_steps``
+    estimate snaps to a small-denominator rational the map is suspected
+    periodic and the result is withheld as uncertifiable.  The estimate
+    is skipped when a short sign-count bracket already rules every such
+    snap out.  ``lam >= 0`` and ``snap_check_steps < 1`` raise before
+    any sector is walked.
     """
     if relation.lam >= 0:
         raise ArgumentError("invariant-circle construction needs lam = -1")
@@ -98,8 +103,7 @@ def build_invariant_circle(
         except PwlinError as exc:
             failures.append(exc)
 
-    est = rotation_number(params, (1.0, 0.0), snap_check_steps)
-    periodic_suspect = snap_rational(est, PERIODIC_Q_MAX)
+    periodic_suspect = _periodic_suspect(params, snap_check_steps)
     if failures:
         if periodic_suspect is not None:
             raise PeriodicSuspectError(
@@ -128,6 +132,34 @@ def build_invariant_circle(
         max_residual=max_residual,
         max_gap=max_gap,
     )
+
+
+def _periodic_suspect(params: Params, steps: int) -> Fraction | None:
+    """``snap_rational(rotation_number(params, (1, 0), steps),
+    PERIODIC_Q_MAX)``, skipping the walk once it is sure to be None.
+
+    The estimate lies within 1/steps of the rotation number and a snap
+    lies within 2/steps of the estimate, so once the bracket of
+    :func:`rotation_brackets` keeps every p/q with q <= PERIODIC_Q_MAX
+    more than 3/steps (plus 1e-9 for the estimate's rounding) away,
+    nothing can snap.  The bracket walk stops there, or after
+    ``SNAP_BRACKET_STEPS`` or ``steps`` steps, when the full walk runs.
+    """
+    slack = Fraction(3, steps) + Fraction(1, 10 ** 9)
+    for _, lower, upper in rotation_brackets(
+            params, min(steps, SNAP_BRACKET_STEPS)):
+        if _no_fraction_in(lower - slack, upper + slack, PERIODIC_Q_MAX):
+            return None
+    est = rotation_number(params, (1.0, 0.0), steps)
+    return snap_rational(est, PERIODIC_Q_MAX)
+
+
+def _no_fraction_in(lo: Fraction, hi: Fraction, q_max: int) -> bool:
+    """Whether no p/q with q <= q_max lies in [lo, hi]: for each q the
+    smallest p with p/q >= lo exceeds the largest with p/q <= hi."""
+    return all(-(-lo.numerator * q // lo.denominator)
+               > hi.numerator * q // hi.denominator
+               for q in range(1, q_max + 1))
 
 
 def _sector_arc(params, sector, anchor_point, rays, n_samples, budget):

@@ -211,6 +211,67 @@ def _rotation_float(params: Params, x: float, y: float, steps: int) -> RotationE
     return RotationEstimate(total / steps, steps, 1.0 / steps)
 
 
+#: Largest walk of :func:`rotation_brackets`: below 2**26 steps distinct
+#: fractions with such denominators stay distinct, in order, as floats.
+BRACKET_STEPS_MAX = 2 ** 26
+
+
+def rotation_brackets(params: Params, steps: int):
+    """Exact brackets of the rotation number, from the signs of the
+    float orbit of (1, 0).
+
+    The circle map lifts to an increasing F that commutes with integer
+    shifts, so F^n(0) >= p proves rho >= p/n and F^n(0) <= p proves
+    rho <= p/n.  After n steps with W of them taken from a point with
+    ``x < 0 <= y`` (the winding count of :func:`winding_value`), the
+    lift of (x_n, y_n) is W plus its angle in (-1/2, 1/2] turns, so
+    rho >= (W - [y_n < 0]) / n and rho <= (W + [y_n > 0 or (y_n = 0
+    and x_n < 0)]) / n.
+
+    The orbit is walked as :func:`rotation_number` walks float inputs,
+    in :func:`walk_chain` chunks rescaled by a power of two between
+    them, which leaves every sign as it was.  After each chunk this
+    yields ``(n, lower, upper)``: n the steps walked, ``lower`` the
+    largest and ``upper`` the smallest of the bounds over steps 1..n,
+    both :class:`Fraction`.  On floats it is a proof for the computed
+    orbit only.  Nothing is yielded when the slopes admit no chunk (not
+    finite floats, or too steep; see :func:`rescale_chunk`).
+    """
+    if not 1 <= steps <= BRACKET_STEPS_MAX:
+        raise ArgumentError(f"steps must be in [1, {BRACKET_STEPS_MAX}]")
+    a, b = params.a, params.b
+    chunk = rescale_chunk((a, b), ROTATION_BLOCK)
+    if not chunk:
+        return
+    x, y = 1.0, 0.0
+    turns = done = 0
+    lower = upper = None
+    while done < steps:
+        e = math.frexp(max(abs(x), abs(y)))[1]
+        m = min(chunk, steps - done)
+        chain = np.array(walk_chain(a, b, math.ldexp(x, -e),
+                                    math.ldexp(y, -e), m))
+        # point j of the chunk is (chain[j + 1], chain[j]); the step
+        # out of it winds when x < 0 <= y
+        neg = chain < 0.0
+        wound = np.cumsum(neg[1:-1] & ~neg[:-2]) + turns
+        ys, xs = chain[1:-1], chain[2:]
+        n = np.arange(done + 1, done + m + 1)
+        lo = wound - neg[1:-1]
+        hi = wound + ((ys > 0.0) | ((ys == 0.0) & neg[2:]))
+        # float quotients order the fractions exactly (steps bound)
+        k = int(np.argmax(lo / n))
+        cand = Fraction(int(lo[k]), int(n[k]))
+        lower = cand if lower is None else max(lower, cand)
+        k = int(np.argmin(hi / n))
+        cand = Fraction(int(hi[k]), int(n[k]))
+        upper = cand if upper is None else min(upper, cand)
+        turns = int(wound[-1])
+        y, x = float(ys[-1]), float(xs[-1])
+        done += m
+        yield done, lower, upper
+
+
 def _sum_turns(angles: list[float], prev: float, total: float) -> float:
     """``total`` plus the lift increments along ``angles`` in turns, as
     the per-step loop adds them: each difference unwrapped to

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -73,6 +74,8 @@ def _cmd_orbit(ns) -> int:
 
 
 def _cmd_rotation(ns) -> int:
+    if ns.q_max < 1:  # refused before the walk, as snap_rational would
+        raise ArgumentError("q_max must be >= 1")
     with _mp_scope(Params(ns.a, ns.b), (1.0, 0.0)) as (params, u0):
         est = rotation_number(params, u0, ns.N)
         if not math.isfinite(est.value):
@@ -220,7 +223,9 @@ def _cmd_trace_curve(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``pwlin`` argument parser, built once per process."""
     parser = _Parser(
         prog="pwlin",
         description="Orbits, rotation numbers, first-return maps and "

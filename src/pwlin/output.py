@@ -109,7 +109,14 @@ def emit_svg(spec: PlotSpec) -> None:
     _write_svg(spec, orbit[:, 0], orbit[:, 1])
 
 
-_DOT = '<circle cx="%.2f" cy="%.2f" r="0.5" fill="#1f4e79"/>'
+#: Dots per block that the SVG writer formats and writes at a time.
+SVG_BLOCK = 2048
+_DOT_PIECES = (b'<circle cx="', b'" cy="', b'" r="0.5" fill="#1f4e79"/>\n')
+#: ``rint(|v| * 100)`` is ``%.2f``'s rounding of v below this product...
+_CENTS_LIMIT = 2.0 ** 42
+#: ...and more than this away from a .5 tie (its rounding error is at
+#: most 2**-11 there).
+_TIE_MARGIN = 2.0 ** -10
 
 
 def _write_svg(spec: PlotSpec, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -118,10 +125,12 @@ def _write_svg(spec: PlotSpec, xs: np.ndarray, ys: np.ndarray) -> None:
 
     Each pixel coordinate is the per-point ``(x - x_lo) * width /
     x_span`` (and ``(y_hi - y) * height / y_span``) evaluated on the
-    arrays, the same operations in the same order, and is formatted with
-    ``%.2f``, the formatter of ``f"{v:.2f}"`` for floats.  A point is
-    drawn when it lies within one pixel of the canvas; NaN and infinite
-    coordinates pass through the arithmetic silently and never do.
+    arrays, the same operations in the same order, and is formatted as
+    ``%.2f`` does (the formatter of ``f"{v:.2f}"`` for floats) by
+    :func:`_format_rows`.  A point is drawn when it lies within one
+    pixel of the canvas; NaN and infinite coordinates pass through the
+    arithmetic silently and never do.  The dots are written in blocks
+    of ``SVG_BLOCK``.
     """
     overlay = np.array(spec.overlay or [], dtype=float).reshape(-1, 2)
     all_x = np.concatenate([xs, overlay[:, 0]])
@@ -166,12 +175,77 @@ def _write_svg(spec: PlotSpec, xs: np.ndarray, ys: np.ndarray) -> None:
     dx, dy = px[:n], py[:n]
     # a non-finite coordinate never gives a pixel inside the window
     drawn = (dx >= -1) & (dx <= width + 1) & (dy >= -1) & (dy <= height + 1)
-    parts.extend(map(_DOT.__mod__, zip(dx[drawn].tolist(), dy[drawn].tolist())))
-    if spec.overlay:
-        coords = " ".join(map("%.2f,%.2f".__mod__,
-                              zip(px[n:].tolist(), py[n:].tolist())))
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     'stroke="#d7301f" stroke-width="1"/>')
-    parts.append("</svg>")
-    with open(spec.path, "w", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    dx, dy = dx[drawn], dy[drawn]
+    with open(spec.path, "wb") as fh:
+        fh.write("".join(f"{part}\n" for part in parts).encode())
+        for lo in range(0, dx.size, SVG_BLOCK):
+            fh.write(_format_rows(_DOT_PIECES, dx[lo:lo + SVG_BLOCK],
+                                  dy[lo:lo + SVG_BLOCK]))
+        if spec.overlay:
+            coords = _format_rows((b"", b",", b" "), px[n:], py[n:])[:-1]
+            fh.write(b'<polyline points="' + coords + b'" fill="none" '
+                     b'stroke="#d7301f" stroke-width="1"/>\n')
+        fh.write(b"</svg>\n")
+
+
+def _format_rows(pieces: tuple[bytes, ...], *columns: np.ndarray) -> bytes:
+    """One row per element, concatenated: ``pieces[0]``, then each
+    column's element as ``%.2f`` formats it followed by the next piece.
+
+    The rows are cells of a byte matrix, fixed pieces and right-aligned
+    numbers, and a mask of the cells in use picks the output.
+    """
+    count = len(columns[0])
+    cells, used = [], []
+    for i, piece in enumerate(pieces):
+        cells.append(np.broadcast_to(np.frombuffer(piece, np.uint8),
+                                     (count, len(piece))))
+        used.append(np.ones((count, len(piece)), bool))
+        if i < len(columns):
+            chars, keep = _fixed2(np.asarray(columns[i], dtype=float))
+            cells.append(chars)
+            used.append(keep)
+    return np.hstack(cells)[np.hstack(used)].tobytes()
+
+
+def _fixed2(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.2f" % x`` for each x of ``v``: a byte matrix with one
+    right-aligned row per element, and the mask of the cells in use.
+
+    Where ``|x| * 100`` is below ``_CENTS_LIMIT`` and more than
+    ``_TIE_MARGIN`` from a .5 tie, its float product rounds to the
+    integer that the exact product rounds to, so the digits are
+    ``rint(|x| * 100)``'s; the sign comes from ``signbit``, so -0.0 and
+    small negatives give "-0.00" as ``%`` does.  The other elements
+    (near ties, non-finite, large) are formatted by ``%`` itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.abs(v) * 100.0
+        fast = (t < _CENTS_LIMIT) & (np.abs(t - np.floor(t) - 0.5)
+                                     > _TIE_MARGIN)
+    whole, cents = np.divmod(np.rint(np.where(fast, t, 0.0)).astype(np.int64),
+                             100)
+    slow = np.flatnonzero(~fast).tolist()
+    texts = ["%.2f" % x for x in v[slow].tolist()]
+    digits = len(str(int(whole.max()))) if v.size else 1
+    width = max([digits + 4] + [len(s) for s in texts])
+    chars = np.zeros((v.size, width), np.uint8)
+    keep = np.zeros((v.size, width), bool)
+    dot = width - 3
+    chars[:, dot] = ord(".")
+    chars[:, dot + 1] = cents // 10 + ord("0")
+    chars[:, dot + 2] = cents % 10 + ord("0")
+    keep[:, dot:] = True
+    place = 1
+    for col in range(dot - 1, dot - 1 - digits, -1):
+        chars[:, col] = whole // place % 10 + ord("0")
+        keep[:, col] = whole >= place
+        place *= 10
+    keep[:, dot - 1] = True  # the units digit, 0 included
+    chars[:, dot - 1 - digits] = ord("-")
+    keep[:, dot - 1 - digits] = np.signbit(v)
+    for k, text in zip(slow, texts):
+        keep[k] = False
+        keep[k, width - len(text):] = True
+        chars[k, width - len(text):] = np.frombuffer(text.encode(), np.uint8)
+    return chars, keep

@@ -293,15 +293,19 @@ def first_preimage_in(
 ) -> tuple[Ray, int] | None:
     """Smallest i >= i_min with T^(-i)(target) pointing into the sector.
 
-    Returns the (ray, i) pair, or None when the budget runs out first.
-    Overflow raises OrbitOverflowError: the step out of point i (taken
-    for i = max_iter too) fails when point i or i + 1 has a y beyond
-    ``OVERFLOW_LIMIT``.  ``inverse_step`` is ``step`` conjugated by the
-    swap, so the backward orbit is the swapped target's
+    Returns the (ray, i) pair, or None when the budget runs out first;
+    ``max_iter`` 0 tests the target alone, a negative one raises
+    :class:`~pwlin.errors.ArgumentError`.  Overflow raises
+    OrbitOverflowError: the step out of point i (taken for i = max_iter
+    too) fails when point i or i + 1 has a y beyond ``OVERFLOW_LIMIT``.
+    ``inverse_step`` is ``step`` conjugated by the swap, so the
+    backward orbit is the swapped target's
     :func:`~pwlin.core.walk_chain`, read back swapped and tested with
     :meth:`Sector.first_inside`: bit-identical to ``inverse_step`` and
     ``Sector.contains`` per step.
     """
+    if max_iter < 0:
+        raise ArgumentError(f"max_iter must be >= 0, got {max_iter}")
     if target[0] == 0 and target[1] == 0:
         raise DegenerateError("target must be nonzero")
     x, y = target

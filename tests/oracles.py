@@ -4,10 +4,11 @@ Each is the straightforward loop that a faster path in ``pwlin``
 replaced; the tests compare the library against them.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from pwlin.circle import TWO_PI, angle_of
+from pwlin.circle import TWO_PI, angle_of, rotation_number, snap_rational
 from pwlin.core import MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step, step
 from pwlin.errors import DegenerateError, NoReturnError, OrbitOverflowError
 from pwlin.returnmap import OrbitRelation, Ray
@@ -310,3 +311,39 @@ def word_matrix(params, word):
         slope = a if ch == PLUS else b
         m11, m12, m21, m22 = (slope * m11 - m21, slope * m12 - m22, m11, m12)
     return Mat2(m11, m12, m21, m22)
+
+
+# ---- rotation brackets, and the snap walk they cut short ----
+
+def rotation_brackets(params, steps):
+    """The brackets of :func:`pwlin.circle.rotation_brackets` after each
+    of ``steps`` steps, one ``(lower, upper)`` pair of Fractions per
+    step: the orbit of (1, 0) walked with ``step``'s arithmetic and
+    ``_rotation_steps``' rescale by 2**512, the winding count and both
+    bounds updated at every step."""
+    a, b = params.a, params.b
+    x, y = 1.0, 0.0
+    turns = 0
+    lower = upper = None
+    out = []
+    for n in range(1, steps + 1):
+        if x < 0.0 <= y:
+            turns += 1
+        x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
+        m = max(abs(x), abs(y))
+        if m > 1e150:
+            x, y = x * 2.0 ** -512, y * 2.0 ** -512
+        elif m < 1e-150:
+            x, y = x * 2.0 ** 512, y * 2.0 ** 512
+        lo = Fraction(turns - (y < 0.0), n)
+        hi = Fraction(turns + (y > 0.0 or (y == 0.0 and x < 0.0)), n)
+        lower = lo if lower is None else max(lower, lo)
+        upper = hi if upper is None else min(upper, hi)
+        out.append((lower, upper))
+    return out
+
+
+def builder_snap(params, steps, q_max=64):
+    """The periodic-suspect decision ``build_invariant_circle`` took from
+    the full walk alone: the snap of the ``steps``-step estimate."""
+    return snap_rational(rotation_number(params, (1.0, 0.0), steps), q_max)

@@ -1,6 +1,8 @@
 """Invariant-circle assembly, residual reporting, polyline export."""
 import dataclasses
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +249,66 @@ def test_snap_walk_runs_when_no_asymptote(monkeypatch, params_a_special):
     build_invariant_circle(params_a_special, orbit_relation(params_a_special),
                            snap_check_steps=5000)
     assert [args[2] for args in rotations] == [5000]
+
+
+def test_snap_walk_skipped_when_the_bracket_decides(monkeypatch,
+                                                   params_a_special):
+    rotations = _counting(monkeypatch, "rotation_number")
+    build_invariant_circle(params_a_special, orbit_relation(params_a_special))
+    assert rotations == []
+
+
+def test_snap_walk_runs_for_a_periodic_suspect(monkeypatch):
+    params = Params(1.0, 1.0)  # rotation number 1/6
+    rotations = _counting(monkeypatch, "rotation_number")
+    with pytest.raises(PeriodicSuspectError, match="snaps to 1/6"):
+        build_invariant_circle(params, orbit_relation(params))
+    assert [args[2] for args in rotations] == [100_000]
+
+
+def _family_sweep(seed, per_family):
+    """Seeded points on the relation curves A and B, and the curve-A
+    point a = 2 cos(2 pi / 7) of rotation number 7/34."""
+    rng = random.Random(seed)
+    points = []
+    for family, (lo, hi) in ((FamilyId.EX_A, (1.02, 1.40)),
+                             (FamilyId.EX_B, (0.02, 0.98))):
+        for _ in range(per_family):
+            a = rng.uniform(lo, hi)
+            points.append(Params(a, family_b(family, a)))
+    a = 2.0 * math.cos(2.0 * math.pi / 7.0)
+    return points + [Params(a, family_b(FamilyId.EX_A, a))]
+
+
+@pytest.mark.parametrize("steps, per_family", [(10_000, 30), (100_000, 15)])
+def test_periodic_suspect_decision_matches_full_walk(monkeypatch, steps,
+                                                     per_family):
+    # the bracket only cuts the walk short where no snap was possible:
+    # the decision is the full walk's at every point, snapped or not
+    rotations = _counting(monkeypatch, "rotation_number")
+    points = _family_sweep(14, per_family)
+    got = [builder_mod._periodic_suspect(p, steps) for p in points]
+    assert got == [oracles.builder_snap(p, steps) for p in points]
+    assert Fraction(7, 34) in got
+    assert 0 < len(rotations) < len(points)
+
+
+def test_builder_outcome_matches_full_walk(monkeypatch):
+    points = _family_sweep(15, 3)
+    outcomes = []
+    for decide in (builder_mod._periodic_suspect, oracles.builder_snap):
+        monkeypatch.setattr(builder_mod, "_periodic_suspect", decide)
+        outcomes.append([])
+        for params in points:
+            try:
+                circle = build_invariant_circle(
+                    params, orbit_relation(params), snap_check_steps=10_000)
+                outcomes[-1].append([arc.level for arc in circle.arcs])
+            except PwlinError as exc:
+                outcomes[-1].append((type(exc).__name__, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert any(isinstance(o, tuple) and o[0] == "PeriodicSuspectError"
+               for o in outcomes[0])
 
 
 @pytest.mark.parametrize("a, b", [(C_SPECIAL, -C_SPECIAL),

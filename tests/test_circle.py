@@ -16,9 +16,13 @@ from pwlin import (
     s_step,
     snap_rational,
 )
-from pwlin.circle import ROTATION_BLOCK, RotationEstimate, angle_of
+from pwlin import FamilyId, closed_rotation, family_b
+from pwlin.circle import (ROTATION_BLOCK, RotationEstimate, angle_of,
+                          rotation_brackets)
 from pwlin.core import rescale_chunk
+from pwlin.errors import ArgumentError
 
+import oracles
 from conftest import A_SPECIAL, A_SPECIAL_ROTATION, B_SPECIAL, C_SPECIAL
 
 
@@ -444,3 +448,77 @@ def test_rotation_float_winding_identity(a, b, start, steps):
         return
     got = rotation_number(Params(a, b), start, steps).value
     assert abs(got - want) <= 1e-12, (a, b, start, steps, got, want)
+
+
+# ------------------- sign-count rotation brackets -------------------
+
+_bracket_slopes = st.one_of(
+    st.floats(-3.0, 3.0), st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, A_SPECIAL, -A_SPECIAL]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bracket_slopes, _bracket_slopes, st.sampled_from([1, 2, 3, 1500]))
+def test_brackets_match_per_step_oracle(a, b, chunks):
+    # every yielded bracket is the per-step Fraction loop's at that step:
+    # the chunked walk's rescales leave the signs as they were
+    params = Params(a, b)
+    chunk = rescale_chunk((a, b), ROTATION_BLOCK)
+    steps = min(chunks * chunk, 3000)
+    want = oracles.rotation_brackets(params, steps)
+    got = list(rotation_brackets(params, steps))
+    assert [n for n, _, _ in got] == list(range(chunk, steps, chunk)) + [steps]
+    for n, lower, upper in got:
+        assert (lower, upper) == want[n - 1]
+        assert lower <= upper
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, -1.2), (1.2, math.nan),
+                                  (2.0 ** 399, 1.0)])
+def test_brackets_need_a_chunk(a, b):
+    assert list(rotation_brackets(Params(a, b), 100)) == []
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2 ** 26 + 1])
+def test_brackets_reject_steps(steps):
+    with pytest.raises(ArgumentError, match="steps must be in"):
+        next(rotation_brackets(Params(1.2, -1.2), steps))
+
+
+def _final_bracket(params, steps):
+    *_, (n, lower, upper) = rotation_brackets(params, steps)
+    assert n == steps
+    return lower, upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FamilyId.EX_A, FamilyId.EX_B]),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_bracket_contains_closed_rotation(family, t):
+    # the float slopes lie within rounding of the relation curve, so the
+    # closed form is allowed 1e-12 of rounding on either side
+    lo_a, hi_a = {FamilyId.EX_A: (1.0, math.sqrt(2.0)),
+                  FamilyId.EX_B: (0.0, 1.0)}[family]
+    a = lo_a + t * (hi_a - lo_a)
+    if not lo_a < a < hi_a:
+        return
+    closed = closed_rotation(family, a)
+    if closed is None:
+        return
+    lower, upper = _final_bracket(Params(a, family_b(family, a)), 2000)
+    assert upper - lower <= Fraction(1, 2000)
+    slack = Fraction(1, 10 ** 12)
+    assert lower - slack <= Fraction(closed) <= upper + slack
+
+
+@pytest.mark.parametrize("a, b", [
+    (A_SPECIAL, -A_SPECIAL), (B_SPECIAL, family_b(FamilyId.EX_B, B_SPECIAL)),
+    (C_SPECIAL, -C_SPECIAL), (1.2, family_b(FamilyId.EX_A, 1.2)),
+    (0.0, 0.0), (1.0, 1.0), (0.3, -1.7), (2.5, -0.4)])
+@pytest.mark.parametrize("steps", [1000, 10_000])
+def test_bracket_holds_the_estimate(a, b, steps):
+    # the N-step estimate walks the same orbit, and lies within 1/N of
+    # the rotation number the bracket encloses
+    lower, upper = _final_bracket(Params(a, b), steps)
+    est = Fraction(rotation_number(Params(a, b), (1.0, 0.0), steps).value)
+    assert lower - Fraction(1, steps) <= est <= upper + Fraction(1, steps)

@@ -6,6 +6,7 @@ import pytest
 
 from pwlin import (Params, PlotSpec, build_invariant_circle,
                    circle_to_polyline, emit_svg, orbit_relation)
+import pwlin.cli as cli_mod
 from pwlin.cli import cli
 
 from conftest import C_SPECIAL
@@ -225,6 +226,21 @@ def test_precision_env_is_scoped(tmp_path, monkeypatch, capsys):
     # the value was formatted inside the scope: more digits than a double
     value = capsys.readouterr().out.splitlines()[0].split("'")[1]
     assert len(value.lstrip("0.")) > 20
+
+
+def test_rotation_q_max_checked_before_the_walk(monkeypatch, capsys):
+    calls = []
+    real = cli_mod.rotation_number
+    monkeypatch.setattr(cli_mod, "rotation_number",
+                        lambda *args: calls.append(args) or real(*args))
+    assert cli(["rotation", "-a", "1.2", "-b", "-1.3", "-N", "3000000",
+                "--q-max", "0"]) == 1
+    assert capsys.readouterr().err == "error: q_max must be >= 1\n"
+    assert calls == []
+
+
+def test_parser_built_once():
+    assert cli_mod.build_parser() is cli_mod.build_parser()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pwlin import Params, PlotSpec, emit_svg
-from pwlin.output import _write_svg
+from pwlin.output import SVG_BLOCK, _format_rows, _write_svg
 
 
 def _reference_write_svg(spec, points):
@@ -175,3 +175,44 @@ def test_emit_svg_extended_precision_orbit(tmp_path):
         emit_svg(PlotSpec(Params(mpf("1.2"), mpf("-1.2")), (mpf(0), mpf(1)),
                           100, str(got)))
     assert got.read_text().count("<circle") == 101
+
+
+# ------------------- the array formatter against %.2f -------------------
+
+_TIES = [k / 8 for k in range(-80, 81)] + [1e5 + k / 8 for k in range(8)]
+# the doubles on either side of the cent ties k/200 + 0.005
+_NEAR_TIES = [math.nextafter(k / 200 + 0.005, d)
+              for k in range(-400, 400) for d in (-math.inf, math.inf)]
+_SPECIAL = [0.0, -0.0, -1e-300, -5e-324, -0.001, -0.004999, -0.00499999999,
+            math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e300,
+            2.0 ** 42 / 100, 2.0 ** 53, 1e15 + 0.5, 123.456, 799.999]
+
+
+@pytest.mark.parametrize("values", [_TIES, _NEAR_TIES, _SPECIAL],
+                         ids=["ties", "near ties", "special"])
+def test_formatter_matches_percent(values):
+    got = _format_rows((b"<", b">"), np.array(values, dtype=float)).decode()
+    assert got == "".join("<%.2f>" % v for v in values)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50))
+def test_formatter_matches_percent_everywhere(values):
+    got = _format_rows((b"", b",", b";"), np.array(values, dtype=float),
+                       -np.array(values, dtype=float)).decode()
+    assert got == "".join(f"{x:.2f},{-x:.2f};" for x in values)
+
+
+@pytest.mark.parametrize("size", [(3, 7), (1, 1), (800, 800)])
+def test_svg_ties_match_reference_writer(tmp_path, size):
+    # window edges at 0 and 1 after the margins: x = -1/18 + k/(18 * 8)
+    # puts pixels on eighths, the exact ties of %.2f
+    grid = [(-1 / 18 + k / 144, 1 / 18 + k / 144) for k in range(145)]
+    got, want = _both(tmp_path, grid, overlay=grid[::3], size=size)
+    assert got == want
+
+
+def test_svg_dots_span_blocks(tmp_path):
+    points = _circle_points(2 * SVG_BLOCK + 5)
+    got, want = _both(tmp_path, points, overlay=_circle_points(30, 1.1))
+    assert got == want
+    assert got.count("<circle") == len(points)

@@ -193,6 +193,16 @@ def test_first_preimage_self_hit():
     assert math.hypot(ray.direction[0], ray.direction[1] - 1.0) <= 1e-12
 
 
+def test_first_preimage_budget_zero_and_negative():
+    # max_iter 0 still tests the target itself; a negative budget is a
+    # bad argument, not "no preimage"
+    p = Params(0.3, -0.8)
+    sector = Sector(Ray.at_angle(1.0), Ray.at_angle(2.0))  # contains (0,1)
+    assert first_preimage_in(p, (0.0, 1.0), sector, max_iter=0)[1] == 0
+    with pytest.raises(ArgumentError, match="max_iter must be >= 0, got -1"):
+        first_preimage_in(p, (0.0, 1.0), sector, max_iter=-1)
+
+
 def test_first_preimage_quarter_rotation():
     # brute-force oracle: backward orbit of (0,1) under the quarter turn
     # is (1,0), (0,-1), (-1,0), ...; the third quadrant [pi, 3pi/2)

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (Params, Point, mpf_context, rescale_chunk, step,
-                   walk_chain, walk_mpf)
+from .core import (Params, Point, check_slopes, mpf_context, rescale_chunk,
+                   step, walk_chain, walk_mpf, walk_rescaled)
 from .errors import ArgumentError, DegenerateError
 
 TWO_PI = 2.0 * math.pi
@@ -102,21 +102,16 @@ class RotationEstimate:
 def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     """Average angular advance of the circle map over ``steps`` iterates.
 
-    The orbit direction is tracked without per-step normalization;
-    exact power-of-two rescaling keeps the components in range, which
-    leaves every angle (and every branch decision) bit-identical.
-
-    Float inputs are walked by :func:`walk_chain`, the walker
-    ``residual_report`` also uses: unchecked steps in chunks bounded by
-    :func:`rescale_chunk`, rescaled by a power of two between chunks;
-    each point's angle is ``math.atan2``, and the unwrapped increments
-    are summed in numpy in the per-step loop's order.  Power-of-two
-    scaling is exact and ``math.atan2`` is scale-invariant, so the
-    result is bit-identical to a per-step loop that rescales by
-    ``2**512`` whenever the larger component leaves [1e-150, 1e150].
-    That loop itself still runs where no chunk is safe (slopes not
-    finite or of magnitude ``2**399`` and beyond, a zero or non-finite
-    start) and for the first steps of a start outside that band.
+    Non-finite slopes raise :class:`~pwlin.errors.DomainError`.  Float
+    inputs are walked by :func:`~pwlin.core.walk_rescaled`, in chunks
+    bounded by :func:`rescale_chunk` (one step each for slopes it
+    rejects as too steep); each point's angle is ``math.atan2``, and the
+    unwrapped increments are summed in numpy in the order of a per-step
+    loop.  Power-of-two scaling is exact and ``math.atan2`` is
+    scale-invariant, so the result is that loop's bit for bit wherever
+    its orbit stays clear of overflow and of the subnormal range, and
+    keeps the bits the loop loses elsewhere (a subnormal or huge start,
+    slopes of magnitude ``2**399`` and beyond).
 
     Other inputs (mpmath floats, ``Fraction``) use the winding identity
     of :func:`winding_value` instead of an angle per step.  They are
@@ -127,6 +122,7 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     """
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
+    check_slopes(params)
     x, y = u0
     mm = _backend(x, y, params.a, params.b)
     if mm is math:
@@ -176,38 +172,18 @@ def winding_value(turns: int, start: Point, end: Point, steps: int, mm=math):
 ROTATION_BLOCK = 4096
 _HALF_PI = 0.5 * math.pi
 _THREE_HALF_PI = 1.5 * math.pi
-_RESCALE_UP = 2.0 ** 512
-_RESCALE_DOWN = 2.0 ** -512
 
 
 def _rotation_float(params: Params, x: float, y: float, steps: int) -> RotationEstimate:
     a, b = params.a, params.b
-    prev = math.atan2(y, x)
-    chunk = rescale_chunk((a, b), ROTATION_BLOCK)
-    if not (chunk and (x or y) and math.isfinite(x) and math.isfinite(y)):
-        total = _rotation_steps(a, b, x, y, prev, 0.0, steps)[3]
-        return RotationEstimate(total / steps, steps, 1.0 / steps)
-    total = 0.0
-    done = 0
-    # Once a point lies in [1e-150, 1e150] the per-step loop keeps every
-    # later point there, and its points are the chunked walk's times a
-    # power of two.  Until then (a few steps for a finite nonzero start)
-    # it is run as it is.
-    while done < steps and not 1e-150 <= max(abs(x), abs(y)) <= 1e150:
-        x, y, prev, total = _rotation_steps(a, b, x, y, prev, total, 1)
-        done += 1
-    angles: list[float] = []
-    while done < steps:
-        e = math.frexp(max(abs(x), abs(y)))[1]
-        m = min(chunk, steps - done)
-        chain = walk_chain(a, b, math.ldexp(x, -e), math.ldexp(y, -e), m)
-        angles.extend(map(math.atan2, chain[1:-1], chain[2:]))
-        y, x = chain[-2], chain[-1]
-        done += m
-        if len(angles) >= ROTATION_BLOCK or done == steps:
+    chunk = rescale_chunk((a, b), ROTATION_BLOCK) or 1
+    prev, total, angles = math.atan2(y, x), 0.0, []
+    for _, chain, _ in walk_rescaled(a, b, x, y, steps, chunk, chunk):
+        angles += map(math.atan2, chain[1:-1], chain[2:])
+        if len(angles) >= ROTATION_BLOCK:
             total = _sum_turns(angles, prev, total)
-            prev = angles[-1]
-            angles = []
+            prev, angles = angles[-1], []
+    total = _sum_turns(angles, prev, total)
     return RotationEstimate(total / steps, steps, 1.0 / steps)
 
 
@@ -229,33 +205,31 @@ def rotation_brackets(params: Params, steps: int):
     and x_n < 0)]) / n.
 
     The orbit is walked as :func:`rotation_number` walks float inputs,
-    in :func:`walk_chain` chunks rescaled by a power of two between
-    them, which leaves every sign as it was.  After each chunk this
-    yields ``(n, lower, upper)``: n the steps walked, ``lower`` the
-    largest and ``upper`` the smallest of the bounds over steps 1..n,
-    both :class:`Fraction`.  On floats it is a proof for the computed
-    orbit only.  Nothing is yielded when the slopes admit no chunk (not
-    finite floats, or too steep; see :func:`rescale_chunk`).
+    in :func:`~pwlin.core.walk_rescaled` chunks, which leaves every sign
+    as it was.  After each chunk this yields ``(n, lower, upper)``: n
+    the steps walked, ``lower`` the largest and ``upper`` the smallest
+    of the bounds over steps 1..n, both :class:`Fraction`.  On floats it
+    is a proof for the computed orbit only.  Non-finite slopes raise
+    :class:`~pwlin.errors.DomainError`; other number types than floats
+    (for which the float signs prove nothing) yield nothing.
     """
     if not 1 <= steps <= BRACKET_STEPS_MAX:
         raise ArgumentError(f"steps must be in [1, {BRACKET_STEPS_MAX}]")
+    check_slopes(params)
     a, b = params.a, params.b
-    chunk = rescale_chunk((a, b), ROTATION_BLOCK)
-    if not chunk:
+    if _backend(a, b) is not math:
         return
-    x, y = 1.0, 0.0
-    turns = done = 0
+    chunk = rescale_chunk((a, b), ROTATION_BLOCK) or 1
+    turns = 0
     lower = upper = None
-    while done < steps:
-        e = math.frexp(max(abs(x), abs(y)))[1]
-        m = min(chunk, steps - done)
-        chain = np.array(walk_chain(a, b, math.ldexp(x, -e),
-                                    math.ldexp(y, -e), m))
+    for done, chain, _ in walk_rescaled(a, b, 1.0, 0.0, steps, chunk, chunk):
+        chain = np.array(chain)
+        m = len(chain) - 2
         # point j of the chunk is (chain[j + 1], chain[j]); the step
         # out of it winds when x < 0 <= y
         neg = chain < 0.0
         wound = np.cumsum(neg[1:-1] & ~neg[:-2]) + turns
-        ys, xs = chain[1:-1], chain[2:]
+        ys = chain[1:-1]
         n = np.arange(done + 1, done + m + 1)
         lo = wound - neg[1:-1]
         hi = wound + ((ys > 0.0) | ((ys == 0.0) & neg[2:]))
@@ -267,9 +241,7 @@ def rotation_brackets(params: Params, steps: int):
         cand = Fraction(int(hi[k]), int(n[k]))
         upper = cand if upper is None else min(upper, cand)
         turns = int(wound[-1])
-        y, x = float(ys[-1]), float(xs[-1])
-        done += m
-        yield done, lower, upper
+        yield done + m, lower, upper
 
 
 def _sum_turns(angles: list[float], prev: float, total: float) -> float:
@@ -283,33 +255,6 @@ def _sum_turns(angles: list[float], prev: float, total: float) -> float:
     acc[0] = total  # carried in first, so the summation order is the loop's
     np.divide(d, TWO_PI, out=acc[1:])
     return float(np.add.accumulate(acc, out=acc)[-1])
-
-
-def _rotation_steps(a, b, x, y, prev, total, steps):
-    """The per-step loop: ``steps`` steps with the angle and a rescale
-    by ``2**512`` either way at each; returns (x, y, prev, total)."""
-    atan2 = math.atan2
-    two_pi, half_pi, three_half_pi = TWO_PI, _HALF_PI, _THREE_HALF_PI
-    for _ in range(steps):
-        x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)
-        ax = x if x >= 0.0 else -x
-        ay = y if y >= 0.0 else -y
-        m = ax if ax > ay else ay
-        if m > 1e150:
-            x *= _RESCALE_DOWN
-            y *= _RESCALE_DOWN
-        elif m < 1e-150:
-            x *= _RESCALE_UP
-            y *= _RESCALE_UP
-        t = atan2(y, x)
-        d = t - prev
-        if d < -half_pi:
-            d += two_pi
-        elif d >= three_half_pi:
-            d -= two_pi
-        total += d / two_pi
-        prev = t
-    return x, y, prev, total
 
 
 def convergents(x: float, q_max: int):

@@ -17,7 +17,7 @@ import sys
 from .builder import _residual_walk, build_invariant_circle, circle_to_polyline
 from .circle import rotation_number, snap_rational
 from .core import Params
-from .errors import ArgumentError, OrbitOverflowError, PwlinError
+from .errors import ArgumentError, DomainError, PwlinError
 from .families import FamilyId, curve_find, verify_family
 from .output import PlotSpec, _write_svg, emit_orbit_csv, emit_scan_csv
 from .returnmap import Ray, Sector, commutator_residual, orbit_relation, return_map
@@ -67,6 +67,8 @@ def _mp_scope(params: Params, point):
 def _cmd_orbit(ns) -> int:
     if ns.n < 0:  # the CSV rows are numbered forward
         raise PwlinError(f"-n must be at least 0, got {ns.n}")
+    if not (math.isfinite(ns.x) and math.isfinite(ns.y)):
+        raise DomainError(f"start must be finite, got x={ns.x!r}, y={ns.y!r}")
     with _mp_scope(Params(ns.a, ns.b), (ns.x, ns.y)) as (params, start):
         emit_orbit_csv(params, start, ns.n, ns.out)
         print(f"wrote {ns.out}")
@@ -78,10 +80,6 @@ def _cmd_rotation(ns) -> int:
         raise ArgumentError("q_max must be >= 1")
     with _mp_scope(Params(ns.a, ns.b), (1.0, 0.0)) as (params, u0):
         est = rotation_number(params, u0, ns.N)
-        if not math.isfinite(est.value):
-            raise OrbitOverflowError(
-                f"rotation estimate {est.value} is not finite: a slope is "
-                "not finite or the orbit of (1, 0) overflowed")
         snap = snap_rational(est, ns.q_max)
         print(f"rotation value: {est.value!r}")
         print(f"error bound:    {est.error_bound!r}")

@@ -51,8 +51,10 @@ class Params:
 
 
 def check_slopes(params: Params) -> None:
-    """Raise :class:`DomainError` naming the slopes unless both are finite."""
-    if not (math.isfinite(params.a) and math.isfinite(params.b)):
+    """Raise :class:`DomainError` naming the slopes unless both are
+    finite (``v - v == 0`` fails only for nan and +-inf, in any number
+    type)."""
+    if not (params.a - params.a == 0 and params.b - params.b == 0):
         raise DomainError(
             f"slopes must be finite, got a={params.a!r}, b={params.b!r}")
 
@@ -97,9 +99,11 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     from finite ``mpmath.mpf`` inputs of one context are stepped by
     :func:`walk_mpf`, bit-identical to the loop below.
 
-    Raises :class:`OrbitOverflowError` carrying the step index at which
-    a component escaped.
+    Raises :class:`DomainError` for a non-finite slope and
+    :class:`OrbitOverflowError` carrying the step index at which a
+    component escaped.
     """
+    check_slopes(params)
     a, b = params.a, params.b
     back = n < 0
     x, y = (p0[1], p0[0]) if back else p0
@@ -185,8 +189,11 @@ def rescale_chunk(slopes, cap: int) -> int:
     enough that this factor to its length stays within
     ``2**GROWTH_BITS``: an orbit rescaled below 1 then never overflows,
     and never comes near the subnormal range, inside a chunk.  Returns 0
-    when no chunk is safe: a slope that is not a finite float, or has
-    magnitude ``2**(GROWTH_BITS - 1)`` or more.
+    when no such chunk exists: a slope that is not a finite float, or
+    has magnitude ``2**(GROWTH_BITS - 1)`` or more.  Finite float slopes
+    that steep are walked one step per chunk (``or 1``): one step from a
+    max-norm below 1 stays finite, though a small component of the next
+    point may lose bits to the subnormal range.
     """
     limit = 2.0 ** (GROWTH_BITS - 1)
     if not all(isinstance(v, (int, float)) and abs(v) < limit for v in slopes):
@@ -209,6 +216,50 @@ def walk_chain(a: float, b: float, x: float, y: float, n: int) -> list:
         x, y = (a * x - y if x >= 0.0 else b * x - y), x
         push(x)
     return chain
+
+
+#: Chunked walks start with chunks of FIRST_CHUNK steps by default (see
+#: :func:`chunk_schedule`).  In the circle certificates most orbit
+#: searches end within 16 steps, but most steps are walked by the few
+#: that run out a budget of 8,192: short chunks keep the first from
+#: walking far past their end, long ones keep the per-chunk cost of the
+#: second low.
+FIRST_CHUNK = 16
+
+
+def chunk_schedule(total: int, cap: int, first: int = FIRST_CHUNK):
+    """(steps walked, next chunk's length) over ``total`` steps: chunks
+    of ``first`` steps, doubling up to ``cap`` (all of ``cap`` steps
+    when ``first`` is ``cap``), the last one cut at ``total``."""
+    done, m = 0, first
+    while done < total:
+        m = min(m, cap, total - done)
+        yield done, m
+        done += m
+        m *= 2
+
+
+def walk_rescaled(a, b, x, y, total: int, cap: int,
+                  first: int = FIRST_CHUNK):
+    """Walk ``total`` steps from ``(x, y)`` in :func:`walk_chain` chunks
+    of :func:`chunk_schedule`, each started from the previous point
+    scaled by the power of two ``2**-e`` that puts its max-norm in
+    [0.5, 1).
+
+    Yields ``(done, chain, e)`` per chunk, ``done`` the steps walked
+    before it: orbit point ``done + k`` is ``(chain[k + 1], chain[k])``
+    times ``2**E``, E the sum of the ``e`` yielded so far.  The map
+    commutes with positive scaling and a power of two scales exactly, so
+    each chunk's signs and directions are those of the unscaled orbit
+    (of a subnormal start too, whose first rescale loses nothing), and
+    with ``cap`` from :func:`rescale_chunk` no chunk overflows.  A zero
+    start is walked as it is (``e`` is 0), and nan and inf stay so.
+    """
+    for done, m in chunk_schedule(total, cap, first):
+        e = math.frexp(max(abs(x), abs(y)))[1]
+        chain = walk_chain(a, b, math.ldexp(x, -e), math.ldexp(y, -e), m)
+        yield done, chain, e
+        y, x = chain[-2:]
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .circle import TWO_PI, angle_of
 from .core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Params, Point,
-                   check_slopes, iterate, rescale_chunk, walk_chain,
-                   word_matrix)
+                   check_slopes, chunk_schedule, iterate, rescale_chunk,
+                   walk_chain, walk_rescaled, word_matrix)
 from .errors import (ArgumentError, DegenerateError, InconsistentPieceError,
                      NoReturnError, OrbitOverflowError)
 
@@ -75,22 +75,8 @@ def ccw_key(u: Point):
 
 
 #: Orbit searches walk :func:`~pwlin.core.walk_chain` chunks of
-#: FIRST_CHUNK steps, doubling up to MAX_CHUNK.  In the circle
-#: certificates most searches end within 16 steps, but most steps are
-#: walked by the few that run out a budget of 8,192: short chunks keep
-#: the first from walking far past their end, long ones keep the
-#: per-chunk cost of the second low.
-FIRST_CHUNK, MAX_CHUNK = 16, 1024
-
-
-def _chunks(total: int, cap: int):
-    """(steps walked, next chunk's length) over ``total`` steps."""
-    done, m = 0, FIRST_CHUNK
-    while done < total:
-        m = min(m, cap, total - done)
-        yield done, m
-        done += m
-        m *= 2
+#: :data:`~pwlin.core.FIRST_CHUNK` steps, doubling up to MAX_CHUNK.
+MAX_CHUNK = 1024
 
 
 def _first_escape(values: list, lo: int) -> int | None:
@@ -309,7 +295,7 @@ def first_preimage_in(
     if target[0] == 0 and target[1] == 0:
         raise DegenerateError("target must be nonzero")
     x, y = target
-    for lo, m in _chunks(max_iter + 1, MAX_CHUNK):
+    for lo, m in chunk_schedule(max_iter + 1, MAX_CHUNK):
         # point lo + k is (part[k], part[k + 1]), for k = 0..m
         part = walk_chain(params.a, params.b, y, x, m)
         esc = _first_escape(part, 1)
@@ -328,24 +314,22 @@ def _first_return(params: Params, u: Point, sector: Sector, budget: int):
     """Iterate a direction until its ray re-enters the sector.
 
     Returns (word, steps).  Signs and angles are invariant under
-    positive scaling, so the orbit is walked in
-    :func:`~pwlin.core.rescale_chunk` chunks, rescaled by a power of two
-    between them.  A zero or non-finite point comes only from such a
-    start (and stays so) or slope (one-step chunks), so the chunk's last
-    point shows it.  It and budget exhaustion mean "no return seen".
-    A walk renormalized by ``hypot`` at every step rounds differently:
-    the two agree only up to rounding, so an orbit point within an ulp
-    or so of a sector boundary or of the vertical axis may go either way.
+    positive scaling, so the orbit is walked by
+    :func:`~pwlin.core.walk_rescaled`.  A zero or non-finite point comes
+    only from such a start (and stays so) or slope (one-step chunks), so
+    the chunk's last point shows it.  It and budget exhaustion mean "no
+    return seen".  A walk renormalized by ``hypot`` at every step rounds
+    differently: the two agree only up to rounding, so an orbit point
+    within an ulp or so of a sector boundary or of the vertical axis may
+    go either way.
     """
     a, b = params.a, params.b
-    x, y = u
     xs: list[float] = []  # x before each step: the signs of the word
-    for done, m in _chunks(budget, rescale_chunk((a, b), MAX_CHUNK) or 1):
-        e = math.frexp(abs(x) + abs(y))[1]
+    chunk = rescale_chunk((a, b), MAX_CHUNK) or 1
+    for done, chain, _ in walk_rescaled(a, b, *u, budget, chunk):
         # point k of the chunk, step done + k, is (chain[k + 1], chain[k])
-        chain = walk_chain(a, b, math.ldexp(x, -e), math.ldexp(y, -e), m)
-        y, x = chain[-2:]
-        if not 0.0 < abs(x) + abs(y) < math.inf:
+        m = len(chain) - 2
+        if not 0.0 < abs(chain[-1]) + abs(chain[-2]) < math.inf:
             raise NoReturnError("orbit degenerated before returning")
         k = sector.first_inside(chain[1:], chain, 1, m + 1)
         if k is not None:
@@ -447,7 +431,7 @@ def orbit_relation(
     check_slopes(params)
     src = (0.0, 1.0)
     lanes = {1: (0.0, 1.0), -1: (1.0, 0.0)}  # sign of n: walk start
-    for done, m in _chunks(max_iter, MAX_CHUNK):
+    for done, m in chunk_schedule(max_iter, MAX_CHUNK):
         hits = []
         for sgn, (x, y) in list(lanes.items()):
             chain = walk_chain(params.a, params.b, x, y, m)

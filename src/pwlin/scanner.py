@@ -6,7 +6,7 @@ defaults classify every worked example and every figure parameter of
 the underlying study correctly.
 
 One method, :meth:`_NormRuns.fold`, reduces the norm runs chunk by
-chunk: :func:`classify` feeds it :func:`~pwlin.core.walk_chain` chunks
+chunk: :func:`classify` feeds it :func:`~pwlin.core.walk_rescaled` chunks
 of one cell, :func:`scan` the numpy lanes of all cells of a grid, and
 :func:`scan` then decides each cell with the code of :func:`classify`.
 Verdicts, snaps, ``periodic_q`` and the norm columns match per-cell
@@ -26,8 +26,8 @@ import numpy as np
 
 from .circle import (RotationEstimate, rotation_number, snap_rational,
                      winding_value)
-from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params, check_slopes,
-                   iterate, rescale_chunk, walk_chain, word_matrix)
+from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params, iterate,
+                   rescale_chunk, walk_rescaled, word_matrix)
 from .errors import ArgumentError, OrbitOverflowError, PwlinError
 
 
@@ -121,14 +121,11 @@ def classify(params: Params, budget: int = 100_000,
     then a one-period cocycle test when the rotation estimate snaps to
     a rational, then the bounded-orbit (circle) heuristic.  The norm
     runs come from :func:`norm_runs`, the rotation estimate from
-    :func:`~pwlin.circle.rotation_number`.  Raises
-    :class:`DomainError` for a non-finite slope and
-    :class:`OrbitOverflowError` when the rotation estimate is not
-    finite.
+    :func:`~pwlin.circle.rotation_number`, which raises
+    :class:`DomainError` for a non-finite slope.
     """
     if budget < MIN_BUDGET:
         raise ArgumentError(_BUDGET_ERROR)
-    check_slopes(params)
     est = rotation_number(params, (1.0, 0.0), budget)
     return _decide(params, est,
                    norm_runs(params, budget, config.divergence_ratio), config)
@@ -138,9 +135,6 @@ def _decide(params: Params, est: RotationEstimate, stats: _NormStats,
             config: ScanConfig) -> ClassRecord:
     """Snap, period test and verdict of one cell from its orbit
     statistics; shared by :func:`classify` and :func:`scan`."""
-    if not math.isfinite(est.value):
-        raise OrbitOverflowError(
-            "rotation estimate is not finite: the orbit of (1, 0) overflowed")
     est = est.with_snap(snap_rational(est, config.periodic_q_max))
     norm_growth = min(stats.fwd_max, stats.bwd_max)
     radius_ratio = stats.fwd_max / stats.fwd_min
@@ -344,14 +338,13 @@ class _NormRuns:
         A live lane compares its chunk's largest norm and |x| with
         ``cap`` and ``OVERFLOW_LIMIT`` scaled by its own ``2**-expo``,
         and only its chunk max and min are scaled back.  The comparison
-        is exact: expo is 0 in the first chunk, and after it a live
-        lane's ``2**expo`` is at most twice values it has seen below
-        both limits, so the scaled limits are normal floats (or inf
-        where the true ones are beyond any buffer value).  Scaling by a
-        power of two is monotone, so it commutes with max and min bit
-        for bit.  Lanes that stop inside the chunk are cut at their
-        stopping row; the rest take whole-chunk extremes from
-        :func:`_norm_extremes`.
+        is exact: a live lane's ``2**expo`` is at most twice values it
+        has seen below both limits (its starting norm 1 included), so
+        the scaled limits are normal floats (or inf where the true ones
+        are beyond any buffer value).  Scaling by a power of two is
+        monotone, so it commutes with max and min bit for bit.  Lanes
+        that stop inside the chunk are cut at their stopping row; the
+        rest take whole-chunk extremes from :func:`_norm_extremes`.
         """
         live = self.live
         idx = np.flatnonzero(live)
@@ -398,33 +391,31 @@ def norm_runs(params: Params, budget: int, cap: float) -> _NormStats:
     """Norm runs of the orbit of (0, 1) of one cell, forward and
     backward, as :func:`_orbit_stats` computes them for a grid.
 
-    The two lanes of :class:`_NormRuns` are walked with
-    :func:`~pwlin.core.walk_chain` while they are live, in chunks as
+    The two lanes of :class:`_NormRuns` are walked by
+    :func:`~pwlin.core.walk_rescaled` while they are live, in chunks as
     long as :func:`~pwlin.core.rescale_chunk` allows for the slopes'
     float values (so mpf slopes get long chunks too), one step where it
-    rejects them, and rescaled by a power of two between chunks.
+    rejects them.
     """
     a, b = params.a, params.b
     chunk = rescale_chunk((float(a), float(b)), GROWTH_BITS) or 1
-    starts = [(1.0, 0.0), (0.0, 1.0)]
+    lanes = [walk_rescaled(a, b, x, y, budget, chunk, chunk)
+             for x, y in ((1.0, 0.0), (0.0, 1.0))]
     buf = np.empty((chunk + 1, 2))
     expo = np.zeros(2, dtype=np.int64)
     runs = _NormRuns(1, chunk, cap)
-    done = 0
     # one-step chunks of steep slopes may overflow x*x in _norm_extremes
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < budget and runs.live.any():
-            m = min(chunk, budget - done)
-            shift = np.zeros(2, dtype=np.int64)
-            for j in np.flatnonzero(runs.live).tolist():
-                chain = walk_chain(a, b, *starts[j], m)
-                buf[:m + 1, j] = chain[1:]
-                y, x = chain[-2:]
-                e = shift[j] = math.frexp(max(abs(x), abs(y)))[1]
-                starts[j] = (math.ldexp(x, -e), math.ldexp(y, -e))
+        for _ in range(0, budget, chunk):
+            live = np.flatnonzero(runs.live).tolist()
+            if not live:
+                break
+            for j in live:
+                _, chain, e = next(lanes[j])
+                buf[:len(chain) - 1, j] = chain[1:]
+                expo[j] += e
+            m = len(chain) - 2
             runs.fold(buf[1:m + 1], buf[:m], expo)
-            expo += shift
-            done += m
     return runs.stats()[0]
 
 

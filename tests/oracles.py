@@ -144,7 +144,7 @@ def first_return_rescaled(params, u, sector, budget, seams):
     signs = []
     for k in range(budget):
         if k in seams:
-            e = math.frexp(abs(x) + abs(y))[1]
+            e = math.frexp(max(abs(x), abs(y)))[1]
             x, y = math.ldexp(x, -e), math.ldexp(y, -e)
         signs.append(PLUS if x >= 0.0 else MINUS)
         x, y = (a * x - y, x) if x >= 0.0 else (b * x - y, x)

@@ -20,7 +20,7 @@ from pwlin import FamilyId, closed_rotation, family_b
 from pwlin.circle import (ROTATION_BLOCK, RotationEstimate, angle_of,
                           rotation_brackets)
 from pwlin.core import rescale_chunk
-from pwlin.errors import ArgumentError
+from pwlin.errors import ArgumentError, DomainError
 
 import oracles
 from conftest import A_SPECIAL, A_SPECIAL_ROTATION, B_SPECIAL, C_SPECIAL
@@ -251,14 +251,22 @@ _kernel_starts = st.one_of(
        st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]))
 def test_rotation_float_kernel_matches_per_step_loop(a, b, start, seam):
     # steps at 1 and at the walker's chunk seams: chunk - 1, chunk,
-    # chunk + 1 and 2 * chunk + 1 (slopes no chunk covers take the
-    # per-step loop, and a short run of it will do)
+    # chunk + 1 and 2 * chunk + 1 (slopes no chunk covers walk one-step
+    # chunks, and a short run of them will do).  The per-step loop is
+    # the oracle for a zero start, and for chunkable slopes and a start
+    # in its band [1e-150, 1e150]; elsewhere it can lose bits, or
+    # overflow to nan, and the 200-bit value is the oracle, within 2/N.
     chunks, offset = seam
-    chunk = rescale_chunk((a, b), ROTATION_BLOCK) or 3
-    steps = max(1, chunks * chunk + offset)
+    chunk = rescale_chunk((a, b), ROTATION_BLOCK)
+    steps = max(1, chunks * (chunk or 3) + offset)
     got = rotation_number(Params(a, b), start, steps).value
-    want = _reference_rotation_float(a, b, *start, steps)
-    assert _same_float(got, want), (a, b, start, steps, got, want)
+    norm = max(map(abs, start))
+    if norm == 0.0 or chunk and 1e-150 <= norm <= 1e150:
+        want = _reference_rotation_float(a, b, *start, steps)
+        assert _same_float(got, want), (a, b, start, steps, got, want)
+    else:
+        want = _mp_rotation(a, b, start, steps)
+        assert abs(got - want) <= 2.0 / steps, (a, b, start, steps, got, want)
 
 
 @pytest.mark.parametrize("a", [A_SPECIAL, B_SPECIAL, C_SPECIAL])
@@ -274,8 +282,8 @@ def test_rotation_special_points_bit_identical(a, start):
 @pytest.mark.parametrize("steps", [1, 5, ROTATION_BLOCK + 1])
 def test_rotation_non_finite_slopes(a, b, steps):
     for start in ((1.0, 0.0), (-0.3, 0.8)):
-        got = rotation_number(Params(a, b), start, steps).value
-        assert _same_float(got, _reference_rotation_float(a, b, *start, steps))
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            rotation_number(Params(a, b), start, steps)
 
 
 @pytest.mark.parametrize("steps", [ROTATION_BLOCK - 1, ROTATION_BLOCK,
@@ -284,9 +292,80 @@ def test_rotation_non_finite_slopes(a, b, steps):
                                    (1e300, -1e300), (0.0, 0.0),
                                    (math.inf, 0.0)])
 def test_rotation_block_seams_and_extreme_starts(steps, start):
+    # the per-step loop rounds the first steps from a subnormal start,
+    # which the walk rescales exactly: the mpmath value is the oracle
     a, b = 1.7, -0.4
     got = rotation_number(Params(a, b), start, steps).value
-    assert _same_float(got, _reference_rotation_float(a, b, *start, steps))
+    if start == (5e-324, 0.0):
+        assert abs(got - _mp_rotation(a, b, start, steps)) <= 1e-14
+    else:
+        assert _same_float(got, _reference_rotation_float(a, b, *start,
+                                                          steps))
+
+
+def _mp_rotation(a, b, start, steps, prec=200):
+    """The ``prec``-bit mpmath ``rotation_number`` of the float inputs:
+    the oracle where the float per-step loop loses bits."""
+    with mpmath.workprec(prec):
+        mpf = mpmath.mpf
+        params = Params(mpf(a), mpf(b))
+        return float(rotation_number(params, (mpf(start[0]), mpf(start[1])),
+                                     steps).value)
+
+
+@pytest.mark.parametrize("steps", [1, 2, ROTATION_BLOCK + 1])
+@pytest.mark.parametrize("start", [(5e-324, 0.0), (-5e-324, 5e-324),
+                                   (1e-300, -3e-310), (1e300, 1e300),
+                                   (-1e300, 2e-300), (1.7e308, -1.7e308)])
+def test_rotation_extreme_starts_against_mp(steps, start):
+    # a subnormal or huge start is rescaled exactly before the first
+    # step; the per-step loop lost bits at (5e-324, 0)
+    a, b = 1.7, -0.4
+    got = rotation_number(Params(a, b), start, steps).value
+    assert abs(got - _mp_rotation(a, b, start, steps)) <= 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(1e200, -1.0), (2.0 ** 399, -0.5),
+                                  (1e300, 1e300), (-1e250, 3.0)])
+def test_rotation_steep_slopes_match_mp(a, b):
+    # the per-step loop overflowed to nan at the first and third pair;
+    # one-step rescaled chunks follow the exact orbit's directions
+    got = rotation_number(Params(a, b), (1.0, 0.0), 5000).value
+    assert math.isfinite(got)
+    assert got == _mp_rotation(a, b, (1.0, 0.0), 5000)
+
+
+_steep = st.floats(2.0 ** 399, 1e300)
+_moderate = st.floats(0.5, 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_steep, st.one_of(_steep, _moderate), st.sampled_from([1, -1]),
+       st.sampled_from([1, -1]), st.booleans(), st.integers(1, 3000))
+def test_rotation_steep_slopes_within_2_over_n_of_mp(s, t, sign_s, sign_t,
+                                                      swap, steps):
+    # (a tiny second slope can put the float orbit exactly on the axis
+    # where the exact one just misses it, so it is kept moderate)
+    s, t = sign_s * s, sign_t * t
+    a, b = (t, s) if swap else (s, t)
+    got = rotation_number(Params(a, b), (1.0, 0.0), steps).value
+    assert abs(got - _mp_rotation(a, b, (1.0, 0.0), steps)) <= 2.0 / steps
+
+
+_finite = st.one_of(st.floats(-1.7e308, 1.7e308),
+                    st.sampled_from([1.7e308, -1.7e308, 1e200, -1e300, 0.0,
+                                     5e-324, 1.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finite, _finite,
+       st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(allow_nan=False, allow_infinity=False)).filter(
+                     lambda p: p != (0.0, 0.0)),
+       st.integers(1, 2000))
+def test_rotation_estimate_finite_for_finite_inputs(a, b, start, steps):
+    # one step from a max-norm below 1 stays finite, whatever the slopes
+    assert math.isfinite(rotation_number(Params(a, b), start, steps).value)
 
 
 # ------------------- extended precision: the winding identity -------------------
@@ -391,8 +470,10 @@ def test_rotation_fraction_takes_generic_loop(monkeypatch, start):
 @pytest.mark.parametrize("slopes", [("1", "-1"), ("0", "2"), ("3", "inf"),
                                     ("inf", "-1"), ("nan", "-1")])
 def test_rotation_non_finite_mpf_takes_generic_loop(monkeypatch, start, slopes):
-    # nan when the orbit passes through a non-finite point; otherwise
-    # (slope 3 keeps the orbit of (1, 0) off the inf slope) the estimate
+    # a non-finite slope is refused, even one the orbit never uses
+    # (slope 3 keeps the orbit of (1, 0) off the inf slope); otherwise
+    # nan when the orbit passes through a non-finite point, else the
+    # estimate
     import pwlin.circle as circle_mod
 
     def no_walker(*args):
@@ -402,7 +483,11 @@ def test_rotation_non_finite_mpf_takes_generic_loop(monkeypatch, start, slopes):
     mpf = mpmath.mpf
     params = Params(*map(mpf, slopes))
     u0 = tuple(map(mpf, start))
-    if all(map(mpmath.isfinite, u0 + (params.a, params.b))):
+    if not (mpmath.isfinite(params.a) and mpmath.isfinite(params.b)):
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            rotation_number(params, u0, 1)
+        return
+    if all(map(mpmath.isfinite, u0)):
         return  # finite inputs take the walker
     want = _reference_rotation_mp(params.a, params.b, *u0, (1, 2, 3))
     x, y = u0
@@ -474,9 +559,33 @@ def test_brackets_match_per_step_oracle(a, b, chunks):
 
 
 @pytest.mark.parametrize("a, b", [(math.inf, -1.2), (1.2, math.nan),
-                                  (2.0 ** 399, 1.0)])
+                                  (2.0 ** 399, 1.0), (1e200, -1.0),
+                                  (-1e250, 3.0), (1e300, 1e300),
+                                  (-0.5, -2.0 ** 399)])
 def test_brackets_need_a_chunk(a, b):
-    assert list(rotation_brackets(Params(a, b), 100)) == []
+    # slopes rescale_chunk rejects: non-finite ones are refused, steep
+    # ones walk one-step chunks, with a bracket after every step that
+    # holds the 200-bit value
+    if not (math.isfinite(a) and math.isfinite(b)):
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            next(rotation_brackets(Params(a, b), 100))
+        return
+    got = list(rotation_brackets(Params(a, b), 100))
+    assert [n for n, _, _ in got] == list(range(1, 101))
+    _, lower, upper = got[-1]
+    assert lower <= upper
+    with mpmath.workprec(200):
+        mpf = mpmath.mpf
+        rho = rotation_number(Params(mpf(a), mpf(b)), (mpf(1), mpf(0)),
+                              5000).value
+        assert mpf(lower.numerator) / lower.denominator - mpf(1) / 5000 <= rho
+        assert rho <= mpf(upper.numerator) / upper.denominator + mpf(1) / 5000
+
+
+def test_brackets_of_mpf_slopes_are_empty():
+    # the float signs prove nothing for other number types
+    params = Params(mpmath.mpf("1.2"), mpmath.mpf("-1.3"))
+    assert list(rotation_brackets(params, 100)) == []
 
 
 @pytest.mark.parametrize("steps", [0, -1, 2 ** 26 + 1])

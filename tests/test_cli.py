@@ -1,5 +1,6 @@
 """CLI subcommands and exit codes."""
 import json
+import math
 import time
 
 import pytest
@@ -169,6 +170,15 @@ def test_trace_curve_bad_slice(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_trace_curve_non_finite_slice(capsys):
+    # the first orbit refuses the slope; it used to escape at step 4
+    code = cli(["trace-curve", "--k", "-8", "--slice", "b=inf",
+                "--bracket", "1.15", "1.25"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: slopes must be finite, got a=1.15, b=inf\n")
+
+
 @pytest.mark.parametrize("args, name", [
     (["--tol", "nan"], "tol"),
     (["--tol", "-1"], "tol"),
@@ -185,11 +195,19 @@ def test_trace_curve_bad_tol_or_bracket(capsys, args, name):
 
 @pytest.mark.parametrize("a", ["nan", "inf", "1e300"])
 def test_rotation_non_finite_estimate_is_an_error(capsys, a):
-    # the estimate is nan: an error line and exit 1, not a traceback
-    assert cli(["rotation", "-a", a, "-b", "1", "-N", "10"]) == 1
+    # a non-finite slope is an error line and exit 1, not a traceback;
+    # a finite one, however steep, gives a finite estimate (the orbit of
+    # (1, 0) at a = 1e300 used to overflow to nan)
+    code = cli(["rotation", "-a", a, "-b", "1", "-N", "10"])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: rotation estimate nan is not finite")
+    if a == "1e300":
+        assert code == 0
+        assert math.isfinite(float(captured.out.split()[2]))
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: slopes must be finite, got a={a}, b=1.0\n")
 
 
 def test_usage_error_exit_code(capsys):
@@ -314,6 +332,26 @@ def test_orbit_rejects_negative_length(tmp_path, capsys, n):
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: -n must be at least 0, got {n}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["-a", "nan", "-b", "1", "-x", "0", "-y", "1"],
+     "slopes must be finite, got a=nan, b=1.0"),
+    (["-a", "1.2", "--b=-inf", "-x", "0", "-y", "1"],
+     "slopes must be finite, got a=1.2, b=-inf"),
+    (["-a", "1.2", "-b", "-1.3", "-x", "nan", "-y", "1"],
+     "start must be finite, got x=nan, y=1.0"),
+    (["-a", "1.2", "-b", "-1.3", "-x", "0", "-y", "inf"],
+     "start must be finite, got x=0.0, y=inf"),
+])
+def test_orbit_rejects_non_finite_input(tmp_path, capsys, args, message):
+    # the orbit used to be written as an all-nan CSV, with exit 0
+    out = tmp_path / "n.csv"
+    assert cli(["orbit", *args, "-n", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

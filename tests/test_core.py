@@ -426,10 +426,23 @@ def test_iterate_generic_types_skip_the_walker(monkeypatch):
         (Params(Fraction(6, 5), Fraction(-3, 2)), (Fraction(0), Fraction(1))),
         (Params(mpf(1), mpf(-1)), (mpf("nan"), mpf(0))),
         (Params(mpf(1), mpf(-1)), (mpf(0), mpf("inf"))),
-        (Params(mpf("inf"), mpf(-1)), (mpf(-1), mpf(0))),
         (Params(mpf("1.2"), mpf("-1.3")), (0.0, 1.0)),  # mixed types
     ]
     for params, p0 in cases:
         got = _outcome(iterate, params, p0, 12)
         want = _outcome(_reference_iterate_forward, params, p0, 12)
         assert repr(got) == repr(want)  # nan-aware
+
+
+@pytest.mark.parametrize("slopes", [(math.inf, -1.0), (1.2, math.nan),
+                                    ("mpf-inf", -1.0)])
+def test_iterate_refuses_non_finite_slopes(slopes):
+    # refused before any step: at n = 0 too, and before the orbit
+    # of (-1, 0) takes the a-branch at its second step
+    from pwlin.errors import DomainError
+
+    mpmath = pytest.importorskip("mpmath")
+    a, b = (mpmath.mpf("inf") if v == "mpf-inf" else v for v in slopes)
+    for n in (0, 3, -3):
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            iterate(Params(a, b), (-1.0, 0.0), n)

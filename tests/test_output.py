@@ -216,3 +216,18 @@ def test_svg_dots_span_blocks(tmp_path):
     got, want = _both(tmp_path, points, overlay=_circle_points(30, 1.1))
     assert got == want
     assert got.count("<circle") == len(points)
+
+
+@pytest.mark.parametrize("slopes", [(math.nan, 1.0), (1.2, -math.inf)])
+def test_non_finite_slopes_write_no_file(tmp_path, slopes):
+    # iterate refuses the slopes before any file is opened; the SVG used
+    # to be drawn from a nan orbit
+    from pwlin import emit_orbit_csv
+    from pwlin.errors import DomainError
+
+    params = Params(*slopes)
+    with pytest.raises(DomainError, match="slopes must be finite"):
+        emit_svg(PlotSpec(params, (0.0, 1.0), 50, str(tmp_path / "o.svg")))
+    with pytest.raises(DomainError, match="slopes must be finite"):
+        emit_orbit_csv(params, (0.0, 1.0), 50, tmp_path / "o.csv")
+    assert list(tmp_path.iterdir()) == []

@@ -26,7 +26,7 @@ from pwlin import (
     word_matrix,
 )
 from pwlin.circle import angle_of
-from pwlin.core import inverse_step, rescale_chunk
+from pwlin.core import chunk_schedule, inverse_step, rescale_chunk
 from pwlin.errors import (
     ArgumentError,
     DegenerateError,
@@ -35,7 +35,7 @@ from pwlin.errors import (
     OrbitOverflowError,
     PwlinError,
 )
-from pwlin.returnmap import MAX_CHUNK, _chunks, _first_return
+from pwlin.returnmap import MAX_CHUNK, _first_return
 
 import oracles
 from conftest import A_SPECIAL, B_SPECIAL, C_SPECIAL
@@ -275,7 +275,8 @@ _SLOPES = st.one_of(
 _ANGLES = st.floats(0.0, 2 * math.pi)
 # budgets at the first seams of the chunk schedule (16, 48, 112 steps),
 # and some past them
-_SEAMS = [done for done, _ in islice(_chunks(10 ** 6, MAX_CHUNK), 1, 4)]
+_SEAMS = [done for done, _ in
+          islice(chunk_schedule(10 ** 6, MAX_CHUNK), 1, 4)]
 _BUDGETS = st.sampled_from([s + d for s in _SEAMS for d in (-1, 0, 1)]
                            + [1, 1000, 3000])
 
@@ -305,7 +306,7 @@ def test_first_return_matches_oracle(a, b, t, start, width, budget):
     sector = _sector(start, width)
     args = (Params(a, b), (math.cos(t), math.sin(t)), sector, budget)
     seams = {done for done, _ in
-             _chunks(budget, rescale_chunk((a, b), MAX_CHUNK) or 1)}
+             chunk_schedule(budget, rescale_chunk((a, b), MAX_CHUNK) or 1)}
     got = _outcome(_first_return, *args)
     assert got == _outcome(oracles.first_return_rescaled, *args, seams)
     renormalized = _outcome(oracles.first_return, *args, 1e-6)

@@ -187,13 +187,13 @@ def test_scan_edge_cells_match_classify(a_range, b_range, resolution):
 
 
 def test_edge_cells_typed_errors():
-    from pwlin.errors import DomainError, OrbitOverflowError
+    from pwlin.errors import DomainError
 
-    with pytest.raises(OrbitOverflowError):
-        classify(Params(1e200, -1.0), budget=2000)
-    (rec,) = scan((1e200, 1e200), (-1.0, -1.0), 1, budget=2000)
-    assert rec.verdict is Verdict.UNDETERMINED
-    assert "rotation estimate is not finite" in rec.error
+    # a steep slope gives a verdict: its rotation estimate used to
+    # overflow to nan and raise
+    rec = classify(Params(1e200, -1.0), budget=2000)
+    assert rec.error is None and math.isfinite(rec.rotation.value)
+    assert scan((1e200, 1e200), (-1.0, -1.0), 1, budget=2000) == [rec]
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError):
             classify(Params(bad, -1.0), budget=2000)
@@ -509,12 +509,17 @@ def test_period_matrix_residual_matches_oracle(a, b, q):
     to nan or exceeds 1e290, so no period verdict changes."""
     import numpy as np
 
-    from pwlin.errors import OrbitOverflowError
+    from pwlin.errors import DomainError, OrbitOverflowError
     from pwlin.scanner import _period_matrix_residual
 
     from oracles import period_matrix_residual
 
     params = Params(a, b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        # iterate refuses the slopes (classify refuses them first)
+        with pytest.raises(DomainError, match="slopes must be finite"):
+            _period_matrix_residual(params, q)
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         got = _period_matrix_residual(params, q)
         want = period_matrix_residual(params, q)

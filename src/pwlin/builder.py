@@ -178,7 +178,7 @@ def _sector_arc(params, sector, anchor_point, rays, n_samples, budget):
     level = level_through(form, anchor_point)
     # both pieces share one class; use the trace split on the first piece
     cls = conic_class_of_trace(m1.trace())
-    arc = arc_in_sector(form, level, sector, anchor_point, n_samples)
+    arc = arc_in_sector(form, level, sector, anchor_point, n_samples, cls)
     if arc.conic_class is not cls and cls is not ConicClass.PARALLEL_LINES:
         raise InconsistentPieceError(
             f"form class {arc.conic_class.value} disagrees with "
@@ -317,7 +317,8 @@ def circle_to_polyline(
     if samples_per_arc is not None and any(
             len(a.samples) != samples_per_arc for a in arcs):
         arcs = [
-            arc_in_sector(a.form, a.level, a.sector, a.anchor, samples_per_arc)
+            arc_in_sector(a.form, a.level, a.sector, a.anchor,
+                          samples_per_arc, a.conic_class)
             for a in arcs
         ]
     out: list[Point] = []

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (Params, Point, check_slopes, mpf_context, rescale_chunk,
-                   step, walk_chain, walk_mpf, walk_rescaled)
+from .core import (Params, Point, check_slopes, mpf_context, mpf_pair,
+                   rescale_chunk, step, walk_chain, walk_mpf, walk_rescaled)
 from .errors import ArgumentError, DegenerateError
 
 TWO_PI = 2.0 * math.pi
@@ -115,10 +115,10 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
 
     Other inputs (mpmath floats, ``Fraction``) use the winding identity
     of :func:`winding_value` instead of an angle per step.  They are
-    walked in blocks of ``ROTATION_BLOCK`` steps: finite ``mpf`` inputs
-    of one context on raw tuples by :func:`walk_mpf`, the rest by the
-    duck-typed :func:`walk_chain`; those give nan when the orbit passes
-    through a non-finite point.
+    walked in blocks of ``ROTATION_BLOCK`` steps: the ``mpf`` inputs
+    that :func:`~pwlin.core.mpf_context` admits on integer mantissas by
+    :func:`walk_mpf`, the rest by the duck-typed :func:`walk_chain`;
+    those give nan when the orbit passes through a non-finite point.
     """
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
@@ -130,22 +130,26 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     a, b = params.a, params.b
     ctx = mpf_context(a, b, x, y)
     turns, end = 0, (x, y)
+    if ctx is not None:
+        a, b, *end = map(mpf_pair, (a, b, x, y))
     for lo in range(0, steps, ROTATION_BLOCK):
         m = min(ROTATION_BLOCK, steps - lo)
         # point k of the block is (chain[k + 1], chain[k]); count the
         # steps from x < 0 <= y: x negative, y (the previous x) not
-        if ctx is not None:  # the sign field marks x < 0
-            chain = walk_mpf(a._mpf_, b._mpf_, end[0]._mpf_, end[1]._mpf_, m,
-                             ctx._prec_rounding)
+        if ctx is not None:  # (m, e) pairs: m carries the sign
+            chain = walk_mpf(a, b, *end, m, ctx.prec)
             turns += sum(1 for v, u in zip(chain[1:-1], chain)
-                         if v[0] and not u[0])
-            end = ctx.make_mpf(chain[-1]), ctx.make_mpf(chain[-2])
+                         if v[0] < 0 <= u[0])
         else:
             chain = walk_chain(a, b, *end, m)
             if not all(v - v == 0 for v in chain):  # nan and +-inf
                 return RotationEstimate(mm.nan, steps, 1.0 / steps)
             turns += sum(1 for v, u in zip(chain[1:-1], chain) if v < 0 <= u)
-            end = chain[-1], chain[-2]
+        end = chain[-1], chain[-2]
+    if ctx is not None:
+        from mpmath.libmp import from_man_exp
+
+        end = tuple(ctx.make_mpf(from_man_exp(*v)) for v in end)
     return RotationEstimate(winding_value(turns, (x, y), end, steps, mm),
                             steps, 1.0 / steps)
 

@@ -229,12 +229,21 @@ def arc_in_sector(
     sector: Sector,
     anchor: Point,
     n_samples: int = 512,
+    trace_class: ConicClass | None = None,
 ) -> ConicArc:
     """Sample the level-set component through ``anchor`` inside ``sector``.
 
     Ellipses are parametrized by angle in the principal frame,
     hyperbolas by the hyperbolic parameter on the anchored branch,
     parallel lines affinely.
+
+    The class is the form's own (:meth:`QuadraticForm.conic_class`),
+    except that ``trace_class``, the class of the generating matrix's
+    trace when the caller has it, decides where the normalized
+    discriminant lies within its absolute tolerance of zero: the trace
+    does not depend on the scale of the form, while the discriminant of
+    a long ellipse, normalized to a largest coefficient of 1, shrinks
+    into that tolerance.
 
     Raises AsymptoteInSectorError when a null direction of a hyperbolic
     form (an asymptote, i.e. an eigenray of the generating matrix) lies
@@ -250,6 +259,8 @@ def arc_in_sector(
         raise DegenerateError("anchor direction is outside the sector")
 
     cls = form.conic_class()
+    if cls is ConicClass.PARALLEL_LINES and trace_class is not None:
+        cls = trace_class
     if cls is ConicClass.ELLIPSE:
         samples = _sample_ellipse(form, level, sector, n_samples)
     elif cls is ConicClass.PARALLEL_LINES:

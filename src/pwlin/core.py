@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 from .errors import DomainError, OrbitOverflowError
 
@@ -96,8 +97,8 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     A backward run is the forward run from the swapped start ``(y, x)``
     with every point swapped back and the word reversed, since
     :func:`inverse_step` is :func:`step` conjugated by the swap.  Runs
-    from finite ``mpmath.mpf`` inputs of one context are stepped by
-    :func:`walk_mpf`, bit-identical to the loop below.
+    from the ``mpmath.mpf`` inputs that :func:`mpf_context` admits are
+    stepped by :func:`walk_mpf`, bit-identical to the loop below.
 
     Raises :class:`DomainError` for a non-finite slope and
     :class:`OrbitOverflowError` carrying the step index at which a
@@ -111,11 +112,13 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     orbit = [(x, y)]
     ctx = mpf_context(a, b, x, y)
     if ctx is not None:
-        chain = walk_mpf(a._mpf_, b._mpf_, x._mpf_, y._mpf_, abs(n),
-                         ctx._prec_rounding, limit)
-        xs = [x, *map(ctx.make_mpf, chain[2:])]
+        from mpmath.libmp import from_man_exp
+
+        chain = walk_mpf(*map(mpf_pair, (a, b, x, y)), abs(n), ctx.prec,
+                         limit)
+        xs = [x, *map(ctx.make_mpf, starmap(from_man_exp, chain[2:]))]
         orbit.extend(zip(xs[1:], xs))
-        word = "".join([MINUS if v[0] else PLUS for v in chain[1:-1]])
+        word = "".join([MINUS if m < 0 else PLUS for m, _ in chain[1:-1]])
     else:
         signs: list[str] = []
         for k in range(abs(n)):
@@ -137,40 +140,81 @@ def _escaped(k: int) -> OrbitOverflowError:
 
 def mpf_context(*values):
     """The mpmath context of ``values`` when all are finite ``mpf`` of
-    that one context (the inputs :func:`walk_mpf` takes), else None.
-    The special values nan and +-inf have a negative bit count."""
+    that one context with at most its precision in bits, and it rounds
+    to nearest: the inputs on which :func:`walk_mpf` gives what the
+    ``mpf`` operators give.  Else None: nan and +-inf have a negative
+    bit count, and for a value made at a higher precision ``mpf_add``'s
+    shortcut for far-apart exponents is not correctly rounded."""
     ctx = getattr(values[0], "context", None)
     mpf = getattr(ctx, "mpf", None)
-    if mpf is not None and all(type(v) is mpf and v._mpf_[3] >= 0
-                               for v in values):
+    if mpf is not None and ctx._prec_rounding[1] == "n" and all(
+            type(v) is mpf and 0 <= v._mpf_[3] <= ctx.prec for v in values):
         return ctx
     return None
 
 
-def walk_mpf(a, b, x, y, n: int, prec_rounding, limit=None) -> list:
-    """:func:`walk_chain` for finite mpmath floats, on raw ``_mpf_`` tuples.
+def mpf_pair(v) -> tuple[int, int]:
+    """``(m, e)`` with ``m * 2**e`` the value of the finite mpf ``v``."""
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man), exp
 
-    ``a``, ``b``, ``x``, ``y`` are ``_mpf_`` tuples; each step is
-    ``mpf_sub(mpf_mul(slope, x), y)`` at ``prec_rounding`` (a context's
-    ``_prec_rounding``), which is what the ``mpf`` operators compute,
-    with the branch read off the sign field (mpf has no negative zero).
-    Returns the raw chain ``[y, x, x_1, ..., x_n]``.  With a ``limit``,
-    raises :class:`OrbitOverflowError` at the first step whose ``|x|``
-    exceeds it, as :func:`iterate` does.
+
+def walk_mpf(a, b, x, y, n: int, prec: int, limit=None) -> list:
+    """:func:`walk_chain` for finite mpmath floats, on signed integer
+    mantissas.
+
+    ``a``, ``b``, ``x``, ``y`` are :func:`mpf_pair` pairs ``(m, e)``,
+    value ``m * 2**e``, of values with at most ``prec`` significant
+    bits.  Each step rounds the
+    exact product ``slope * x`` to ``prec`` bits, to nearest with ties
+    to even, then the exact difference with ``y`` once more.  For such
+    operands ``mpf_mul`` and ``mpf_sub`` at ``prec`` bits, rounding to
+    nearest, are correctly rounded (``mpf_add``'s shortcut for
+    far-apart exponents, a sticky bit at ``prec + 4`` bits, included),
+    so every value is what the ``mpf`` operators give, bit for bit.
+    The branch is read off the sign of ``m`` (mpf has no negative
+    zero).  Returns the chain ``[y, x, x_1, ..., x_n]`` of pairs, not
+    normalized.  With a ``limit``, raises :class:`OrbitOverflowError`
+    at the first step whose ``|x|`` exceeds it, as :func:`iterate` does.
     """
-    from mpmath.libmp import from_float, mpf_abs, mpf_gt, mpf_mul, mpf_sub
+    from mpmath.libmp import from_float, from_man_exp, mpf_gt
 
-    prec, rnd = prec_rounding
-    # |x| < 2**(exp + bc), so only an x beyond these bits needs the test
+    # |x| <= 2**(e + prec), so only an x beyond these bits needs the test
     bits = math.inf if limit is None else math.frexp(limit)[1] - 1
     lim = None if limit is None else from_float(limit)
+    (am, ae), (bm, be), (xm, xe), (ym, ye) = a, b, x, y
     chain = [y, x]
     push = chain.append
+    # both roundings inlined: a helper call per rounding costs what
+    # the integer arithmetic saves
     for k in range(n):
-        x, y = mpf_sub(mpf_mul(b if x[0] else a, x, prec, rnd), y,
-                       prec, rnd), x
-        push(x)
-        if x[2] + x[3] > bits and mpf_gt(mpf_abs(x), lim):
+        if xm < 0:
+            t, e = bm * xm, be + xe
+        else:
+            t, e = am * xm, ae + xe
+        s = t.bit_length() - prec
+        if s > 0:  # q keeps the half bit; >> floors, so t may be < 0
+            q = t >> (s - 1)
+            if q & 1 and (q & 2 or t & ((1 << (s - 1)) - 1)):
+                t = (q >> 1) + 1
+            else:
+                t = q >> 1
+            e += s
+        if e >= ye:
+            t, e = (t << (e - ye)) - ym, ye
+        else:
+            t -= ym << (ye - e)
+        s = t.bit_length() - prec
+        if s > 0:
+            q = t >> (s - 1)
+            if q & 1 and (q & 2 or t & ((1 << (s - 1)) - 1)):
+                t = (q >> 1) + 1
+            else:
+                t = q >> 1
+            e += s
+        xm, xe, ym, ye = t, e, xm, xe
+        push((t, e))
+        if e + prec > bits and mpf_gt(from_man_exp(abs(t), e), lim):
             raise _escaped(k + 1)
     return chain
 

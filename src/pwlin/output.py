@@ -6,6 +6,7 @@ byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -19,12 +20,19 @@ def _fmt17(v) -> str:
         return f"{v:.17g}"
     raw = getattr(v, "_mpf_", None)
     if raw is not None:  # what mpmath.nstr(v, 17) returns for an mpf
-        from mpmath.libmp import to_str
-
-        return to_str(raw, 17)
+        return _mpf_to_str()(raw, 17)
     import mpmath
 
     return mpmath.nstr(v, 17)
+
+
+@cache
+def _mpf_to_str():
+    """mpmath's formatter of raw floats, imported on first use (an import
+    statement per value costs more than the lookup)."""
+    from mpmath.libmp import to_str
+
+    return to_str
 
 
 def emit_orbit_csv(params: Params, start: Point, n: int, path) -> None:

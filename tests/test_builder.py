@@ -75,6 +75,21 @@ def test_ten_step_family_regimes(a, want):
     assert circle.max_gap <= 1e-6
 
 
+@pytest.mark.parametrize("a", [1.41, 1.410092, 1.4121528])
+def test_long_ellipses_near_the_pole_take_the_trace_class(a):
+    # b -> -inf as a -> sqrt(2): the normalized discriminant of the
+    # sector forms (-1.27e-9 at a = 1.41) falls inside conic_class's
+    # absolute tolerance, and the scale-free trace class decides
+    params = Params(a, family_b(FamilyId.EX_A, a))
+    circle = build_invariant_circle(params, orbit_relation(params))
+    assert circle.sector_count == 8
+    assert circle.conic_class is ConicClass.ELLIPSE
+    assert all(arc.conic_class is ConicClass.ELLIPSE for arc in circle.arcs)
+    assert residual_report(circle, orbit_len=100_000)[0] < 1e-8
+    # resampling keeps each arc's class
+    assert len(circle_to_polyline(circle, samples_per_arc=64)) == 8 * 64 - 7
+
+
 def test_divergent_family_raises_asymptote(params_c_special):
     rel = orbit_relation(params_c_special)
     assert rel.n == -13

@@ -424,7 +424,7 @@ _MP_STEPS = (1, 2, 3, 4, 1000, 10_000)
 @pytest.mark.parametrize("prec", [113, 200])
 @pytest.mark.parametrize("a, b", _MP_POINTS)
 def test_rotation_mp_winding_identity(prec, a, b):
-    from pwlin.core import walk_mpf
+    from pwlin.core import mpf_pair, walk_mpf
 
     before = mpmath.mp.prec
     with mpmath.workprec(prec):
@@ -432,12 +432,11 @@ def test_rotation_mp_winding_identity(prec, a, b):
         params = Params(mpf(a), mpf(b))
         u0 = (mpf(1), mpf(0))
         want = _reference_rotation_mp(params.a, params.b, *u0, _MP_STEPS)
-        chain = walk_mpf(params.a._mpf_, params.b._mpf_, u0[0]._mpf_,
-                         u0[1]._mpf_, max(_MP_STEPS),
-                         mpmath.mp._prec_rounding)
+        chain = walk_mpf(*map(mpf_pair, (params.a, params.b, *u0)),
+                         max(_MP_STEPS), prec)
         for n in _MP_STEPS:
             old, wraps = want[n]
-            word = "".join("-" if v[0] else "+" for v in chain[1:n + 1])
+            word = "".join("-" if v[0] < 0 else "+" for v in chain[1:n + 1])
             assert _winding_from_word(word, u0[1]) == wraps, n
             est = rotation_number(params, u0, n)
             assert isinstance(est.value, mpmath.mpf)

@@ -168,6 +168,22 @@ def test_quarter_circle_arc():
     assert all(b > a for a, b in zip(angles, angles[1:]))
 
 
+def test_trace_class_decides_a_near_zero_discriminant():
+    # a long ellipse normalized to a largest coefficient of 1 has a
+    # discriminant inside conic_class's absolute tolerance
+    form = QuadraticForm(1.0, 0.0, 5e-10)
+    assert form.conic_class() is ConicClass.PARALLEL_LINES
+    quadrant = Sector(Ray.through((1.0, 0.0)), Ray.through((0.0, 1.0)))
+    arc = arc_in_sector(form, 1.0, quadrant, (1.0, 0.0), n_samples=101,
+                        trace_class=ConicClass.ELLIPSE)
+    assert arc.conic_class is ConicClass.ELLIPSE
+    assert arc.max_level_residual() <= 1e-9
+    # a discriminant clear of zero keeps the form's class
+    arc = arc_in_sector(QuadraticForm(1.0, 0.0, 1.0), 1.0, quadrant,
+                        (1.0, 0.0), trace_class=ConicClass.HYPERBOLA)
+    assert arc.conic_class is ConicClass.ELLIPSE
+
+
 def test_arc_continuity_across_sectors(params_a_special):
     from pwlin import (
         build_invariant_circle,

@@ -16,7 +16,8 @@ from pwlin import (
     swap_conjugate,
     word_matrix,
 )
-from pwlin.core import GROWTH_BITS, rescale_chunk, step_factor, walk_chain
+from pwlin.core import (GROWTH_BITS, mpf_pair, rescale_chunk, step_factor,
+                        walk_chain, walk_mpf)
 from pwlin.errors import OrbitOverflowError
 
 
@@ -389,6 +390,28 @@ def test_iterate_mpf_walker_matches_generic_loop(prec, slopes, start, n):
     assert mpmath.mp.prec == before
 
 
+# dyadic values of at most 12 bits, so that half-way ties occur; the
+# wide exponents reach mpf_add's shortcut for far-apart operands
+_dyadic_pairs = st.tuples(st.integers(-4096, 4096),
+                          st.integers(-8, 8) | st.integers(-150, 150))
+
+
+@given(st.integers(2, 300), st.tuples(*[_dyadic_pairs] * 4),
+       st.integers(0, 300))
+def test_walk_mpf_matches_the_operator_loop(prec, pairs, n):
+    mpmath = pytest.importorskip("mpmath")
+    from mpmath.libmp import from_man_exp
+
+    with mpmath.workprec(prec):
+        a, b, x, y = map(mpmath.mpf, pairs)  # rounded to prec bits
+        chain = walk_mpf(*map(mpf_pair, (a, b, x, y)), n, prec)
+        want = [y, x]
+        for _ in range(n):
+            x, y = (a if x >= 0 else b) * x - y, x
+            want.append(x)
+    assert [from_man_exp(m, e) for m, e in chain] == [v._mpf_ for v in want]
+
+
 _signed_zeros = st.sampled_from([0.0, -0.0])
 
 
@@ -422,11 +445,18 @@ def test_iterate_generic_types_skip_the_walker(monkeypatch):
 
     monkeypatch.setattr(core_mod, "walk_mpf", no_walker)
     mpf = mpmath.mpf
+    with mpmath.workprec(200):
+        third = mpf(1) / 3  # more bits than the 53 of the context
+    floor = mpmath.MPContext()  # a context that rounds toward -inf
+    floor._prec_rounding[1] = "f"
     cases = [
         (Params(Fraction(6, 5), Fraction(-3, 2)), (Fraction(0), Fraction(1))),
         (Params(mpf(1), mpf(-1)), (mpf("nan"), mpf(0))),
         (Params(mpf(1), mpf(-1)), (mpf(0), mpf("inf"))),
         (Params(mpf("1.2"), mpf("-1.3")), (0.0, 1.0)),  # mixed types
+        (Params(mpf("1.2"), mpf("-1.3")), (mpf(0), third)),
+        (Params(floor.mpf("1.2"), floor.mpf("-1.3")),
+         (floor.mpf(0), floor.mpf(1))),
     ]
     for params, p0 in cases:
         got = _outcome(iterate, params, p0, 12)

@@ -5,49 +5,117 @@ byte-identical files.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import starmap
 
 import numpy as np
 
-from .core import Params, Point, iterate
+from .core import (OVERFLOW_LIMIT, Params, Point, iterate, mpf_context,
+                   mpf_pair, walk_mpf)
 from .errors import ArgumentError, OrbitOverflowError
 
 
 def _fmt17(v) -> str:
-    """Decimal with 17 significant digits (round-trips doubles)."""
+    """Decimal with 17 significant digits (round-trips doubles) for a
+    float or an mpmath float; ``mpmath.nstr(v, 17)``, which is ``str(v)``
+    for other types, such as a ``Fraction``'s exact ``p/q``."""
     if isinstance(v, float):
         return f"{v:.17g}"
     raw = getattr(v, "_mpf_", None)
-    if raw is not None:  # what mpmath.nstr(v, 17) returns for an mpf
-        return _mpf_to_str()(raw, 17)
+    if raw is not None and raw[3] >= 0:  # finite: nan and +-inf have bc < 0
+        return _fmt17_pair(*mpf_pair(v))
     import mpmath
 
     return mpmath.nstr(v, 17)
 
 
-@cache
-def _mpf_to_str():
-    """mpmath's formatter of raw floats, imported on first use (an import
-    statement per value costs more than the lookup)."""
-    from mpmath.libmp import to_str
+#: mpmath's ``to_str(s, 17)`` asks ``to_digits_exp`` for 17 + 3 digits,
+#: which it computes at ``int(20 * math.log(10, 2)) + 10`` bits.
+_DIGIT_BITS = int(20 * math.log(10, 2)) + 10
 
-    return to_str
+
+@cache
+def _digit_plan(top: int) -> tuple[int, int, int]:
+    """``(fixprec, fixdps, 10**fixdps)`` of ``to_digits_exp`` at 20 digits
+    for a value in ``[2**(top - 1), 2**top)``."""
+    fixprec = max(_DIGIT_BITS - top, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    return fixprec, fixdps, 10 ** fixdps
+
+
+def _fmt17_pair(m: int, e: int) -> str:
+    """``mpmath.libmp.to_str(from_man_exp(m, e), 17)``, what
+    ``mpmath.nstr(v, 17)`` gives for the mpf ``v = m * 2**e``, in integer
+    arithmetic.
+
+    As ``to_str`` does: the fixed-point digits of ``|v|``, floored, at
+    the bit and digit counts that ``to_digits_exp`` derives from ``top
+    = e + m.bit_length()`` (which normalizing ``(m, e)`` does not
+    change), rounded half up on the 18th digit, then written in fixed
+    layout when the decimal exponent is in (-5, 17) and in scientific
+    layout otherwise, trailing zeros stripped.  Beyond ``|top| > 3500``,
+    where ``to_digits_exp`` first divides by a power of ten, ``to_str``
+    itself formats the value.
+    """
+    if not m:
+        return "0.0"
+    top = e + m.bit_length()
+    if abs(top) > 3500:
+        from mpmath.libmp import from_man_exp, to_str
+
+        return to_str(from_man_exp(m, e), 17)
+    fixprec, fixdps, scale = _digit_plan(top)
+    sign, m = ("-", -m) if m < 0 else ("", m)
+    shift = e + fixprec
+    fixed = m << shift if shift >= 0 else m >> -shift
+    digits = str(fixed * scale >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > 17 and digits[17] >= "5":
+        digits = str(int(digits[:17]) + 1)
+        if len(digits) > 17:  # 99...9 carried: its 18th digit, 0, is stripped
+            exponent += 1
+    else:
+        digits = digits[:17]
+    if -5 < exponent < 17:
+        if exponent < 0:
+            digits, split = "0" * -exponent + digits, 1
+        else:
+            split = exponent + 1
+        suffix = ""
+    else:
+        split, suffix = 1, f"e{exponent:+d}"
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    return sign + text + suffix
 
 
 def emit_orbit_csv(params: Params, start: Point, n: int, path) -> None:
-    """Write the forward orbit as ``n,x,y`` rows (n + 2 lines total).
+    """Write the orbit of ``|n|`` steps (backward when ``n < 0``) as
+    ``n,x,y`` rows, ``|n| + 2`` lines with the header.
 
-    Each value is formatted once: a forward row's y is the previous
-    row's x (a backward row's x is the previous row's y).
+    Floats and mpmath floats get 17 significant digits, as
+    ``mpmath.nstr(v, 17)`` gives them; other types are written as
+    ``str`` gives them, so ``Fraction``s exactly, as ``p/q``.  The rows
+    need only the x-chain ``[y, x, x_1, ...]`` of the forward run from
+    ``start``, swapped when ``n < 0`` as :func:`iterate` does.  For the
+    mpf inputs that :func:`mpf_context` admits that is :func:`walk_mpf`'s
+    chain of integer pairs, formatted without making an mpf.  An
+    escaping orbit raises :class:`OrbitOverflowError` before the file is
+    opened.
     """
-    orbit, _ = iterate(params, start, n)
-    if n >= 0:
-        cells = list(map(_fmt17, [orbit[0][1], *(p[0] for p in orbit)]))
-        pairs = zip(cells[1:], cells)
+    x, y = (start[1], start[0]) if n < 0 else start
+    ctx = mpf_context(params.a, params.b, x, y)
+    if ctx is not None:
+        chain = walk_mpf(*map(mpf_pair, (params.a, params.b, x, y)), abs(n),
+                         ctx.prec, OVERFLOW_LIMIT)
+        cells = list(starmap(_fmt17_pair, chain))
     else:
-        cells = list(map(_fmt17, [orbit[0][0], *(p[1] for p in orbit)]))
-        pairs = zip(cells, cells[1:])
+        orbit, _ = iterate(params, (x, y), abs(n))
+        cells = list(map(_fmt17, [y, *(p[0] for p in orbit)]))
+    pairs = zip(cells[1:], cells) if n >= 0 else zip(cells, cells[1:])
     lines = ["n,x,y"]
     lines.extend(f"{i},{x},{y}" for i, (x, y) in enumerate(pairs))
     with open(path, "w", newline="") as fh:

@@ -1,6 +1,9 @@
 """CLI subcommands and exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -244,6 +247,18 @@ def test_precision_env_is_scoped(tmp_path, monkeypatch, capsys):
     # the value was formatted inside the scope: more digits than a double
     value = capsys.readouterr().out.splitlines()[0].split("'")[1]
     assert len(value.lstrip("0.")) > 20
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # mpmath is imported on the first extended-precision use: a
+    # module-level import would cost every command its start-up time
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    code = ("import sys, pwlin.cli; "
+            "print(sorted(m for m in sys.modules if 'mpmath' in m))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_rotation_q_max_checked_before_the_walk(monkeypatch, capsys):

@@ -4,11 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwlin import Params, PlotSpec, emit_svg
-from pwlin.output import SVG_BLOCK, _format_rows, _write_svg
+from pwlin.core import mpf_pair
+from pwlin.output import (SVG_BLOCK, _fmt17, _fmt17_pair, _format_rows,
+                          _write_svg)
 
 
 def _reference_write_svg(spec, points):
@@ -231,3 +233,71 @@ def test_non_finite_slopes_write_no_file(tmp_path, slopes):
     with pytest.raises(DomainError, match="slopes must be finite"):
         emit_orbit_csv(params, (0.0, 1.0), 50, tmp_path / "o.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+# --------------- the orbit CSV's pair formatter against to_str ---------------
+
+
+def _to_str17(m, e):
+    from mpmath.libmp import from_man_exp, to_str
+
+    return to_str(from_man_exp(m, e), 17)
+
+
+def _pair_of(text):
+    with mpmath.workprec(300):
+        return mpf_pair(mpmath.mpf(text))
+
+
+@settings(max_examples=1000)
+@given(st.integers(1, 400).flatmap(
+           lambda bits: st.integers(-(2 ** bits) + 1, 2 ** bits - 1)),
+       st.one_of(st.integers(-3600, 3600),
+                 st.sampled_from([-3501, -3500, 3500, 3501])),
+       st.integers(0, 8))
+def test_pair_formatter_matches_to_str(m, top, zeros):
+    # top = e + bit_length decides the digit plan and the to_str
+    # fallback beyond |top| > 3500; zeros > 0 gives an even mantissa, a
+    # pair that walk_mpf leaves unnormalized
+    m <<= zeros
+    e = top - m.bit_length()
+    assert _fmt17_pair(m, e) == _to_str17(m, e)
+
+
+@pytest.mark.parametrize("text", [
+    # to_str floors the binary value before it rounds, so a carry needs
+    # the 18th digit 5 and a decimal tail above the binary rounding
+    "0.9999999999999999951", "-0.9999999999999999951", "9.9999999999999999951",
+    "0.999999999999999995",  # just below its decimal: no carry
+    "99999999999999999.51",  # carries into 1e17: the scientific layout
+    "9.9999999999999999951e-5",  # carries into 1e-4: the fixed layout
+    "9.9999999999999999999e200", "1.9999999999999999951e-300",
+    "99999999999999999", "999999999999999999",
+    "1e-5", "1e-4", "-1.5e-5", "9.9e-5", "1e16", "1e17", "9.9e16",
+    "-1.5e17", "0.1", "1", "-2.5", "3.0e300",
+])
+def test_pair_formatter_carries_and_layouts(text):
+    m, e = _pair_of(text)
+    assert _fmt17_pair(m, e) == _to_str17(m, e)
+
+
+def test_pair_formatter_fixed_values():
+    for e in (-5000, -100, 0, 7, 5000):
+        assert _fmt17_pair(0, e) == "0.0"
+    assert _fmt17_pair(10 ** 18 - 1, 0) == "1.0e+18"
+    assert _fmt17_pair(-(10 ** 17 - 1), 0) == "-99999999999999999.0"
+    assert _fmt17_pair(*_pair_of("0.9999999999999999951")) == "1.0"
+    assert _fmt17_pair(*_pair_of("9.9999999999999999951e-5")) == "0.0001"
+    assert _fmt17_pair(*_pair_of("99999999999999999.51")) == "1.0e+17"
+    assert _fmt17_pair(*_pair_of("9.9e-5")) == "9.9e-5"
+    assert _fmt17_pair(*_pair_of("1e16")) == "10000000000000000.0"
+    assert _fmt17_pair(3, -2) == _fmt17_pair(3 << 40, -42) == "0.75"
+
+
+def test_fmt17_serves_every_mpf():
+    mpf = mpmath.mpf
+    with mpmath.workprec(113):
+        values = [mpf(0), mpf(1) / 3, -mpf(2) ** 4000, mpf("inf"),
+                  -mpf("inf"), mpf("nan")]
+    assert [_fmt17(v) for v in values] == [mpmath.nstr(v, 17)
+                                          for v in values]

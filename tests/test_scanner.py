@@ -20,7 +20,7 @@ from pwlin import (
     scan,
 )
 
-from pwlin.errors import ArgumentError, PwlinError
+from pwlin.errors import ArgumentError, OrbitOverflowError, PwlinError
 from pwlin.scanner import MIN_BUDGET
 
 from conftest import C_SPECIAL
@@ -648,24 +648,70 @@ def _reference_orbit_csv(params, start, n, path):
         fh.write("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("prec", [None, 113, 200])
+def _orbit_inputs(prec, slopes, start):
+    """Slopes and start as floats (``prec`` None), as mpf at ``prec``
+    bits, or as mpf that the walker refuses: a context that rounds
+    toward -inf ("floor"), or a start with 200 bits at 53 ("wide")."""
+    mpmath = pytest.importorskip("mpmath")
+    if prec is None:
+        return Params(*slopes), start
+    if prec == "floor":
+        floor = mpmath.MPContext()
+        floor._prec_rounding[1] = "f"
+        return Params(*map(floor.mpf, slopes)), tuple(map(floor.mpf, start))
+    if prec == "wide":
+        with mpmath.workprec(200):
+            p0 = tuple(mpmath.mpf(v) / 3 for v in start)
+        return Params(*map(mpmath.mpf, slopes)), p0
+    return Params(*map(mpmath.mpf, slopes)), tuple(map(mpmath.mpf, start))
+
+
+def _csv_outcome(emit, params, p0, n, path):
+    """The file an emitter writes, or the escape it raises having
+    opened no file."""
+    try:
+        emit(params, p0, n, path)
+    except OrbitOverflowError as exc:
+        assert not path.exists()
+        return "escaped", exc.index, str(exc)
+    return "written", path.read_bytes()
+
+
+@pytest.mark.parametrize("prec", [None, 113, 200, "floor", "wide"])
 @pytest.mark.parametrize("slopes, start, n", [
     ((1.189207115002721, -1.189207115002721), (0.0, 1.0), 4000),
     ((1.2, -0.5), (0.3, 0.4), 5),
     ((0.7, -1.9), (-2.5, 1e-7), 0),
     ((1.2, -1.3), (0.0, -1.0), -40),  # backward rows
+    ((3.0, -3.0), (0.0, 1.0), 1000),  # escapes after about 720 steps
+    ((3.0, -3.0), (0.0, 1.0), -1000),
 ])
 def test_orbit_csv_matches_per_value_emitter(tmp_path, prec, slopes, start, n):
+    from pwlin.core import mpf_context
+
     mpmath = pytest.importorskip("mpmath")
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    with mpmath.workprec(prec or mpmath.mp.prec):
-        conv = float if prec is None else mpmath.mpf
-        params = Params(*map(conv, slopes))
-        p0 = tuple(map(conv, start))
-        emit_orbit_csv(params, p0, n, got)
-        _reference_orbit_csv(params, p0, n, want)
-    assert got.read_bytes() == want.read_bytes()
-    assert len(got.read_text().splitlines()) == abs(n) + 2
+    with mpmath.workprec(prec if isinstance(prec, int) else 53):
+        params, p0 = _orbit_inputs(prec, slopes, start)
+        walked = mpf_context(params.a, params.b, *p0) is not None
+        assert walked == isinstance(prec, int)
+        outcome = _csv_outcome(emit_orbit_csv, params, p0, n, got)
+        assert outcome == _csv_outcome(_reference_orbit_csv, params, p0, n,
+                                       want)
+    if slopes == (3.0, -3.0):
+        assert outcome[0] == "escaped"
+    else:
+        assert len(got.read_text().splitlines()) == abs(n) + 2
+
+
+def test_orbit_csv_writes_fractions_exactly(tmp_path):
+    # a Fraction orbit is exact, so its cells are p/q, not 17 digits
+    path = tmp_path / "orbit.csv"
+    emit_orbit_csv(Params(Fraction(6, 5), Fraction(-55, 42)),
+                   (Fraction(0), Fraction(1)), 4, path)
+    assert path.read_text().splitlines() == [
+        "n,x,y", "0,0,1", "1,-1,0", "2,55/42,-1", "3,18/7,55/42",
+        "4,373/210,18/7"]
 
 
 def test_orbit_csv_row_count(tmp_path):

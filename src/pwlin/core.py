@@ -80,6 +80,35 @@ def inverse_step(params: Params, p: Point) -> Point:
     return (y, ny)
 
 
+def orbit_chain(params: Params, p0: Point, n: int):
+    """``(chain, ctx, escape)`` of the forward run of ``|n|`` steps from
+    ``p0``, or from the swapped start when ``n < 0``: ``chain`` is ``[y,
+    x, x_1, ...]``, cut before the first x beyond ``OVERFLOW_LIMIT``,
+    whose step is ``escape`` (else None; the start is not tested).
+    Inputs that :func:`mpf_context` admits give their context and
+    :func:`walk_mpf`'s ``(m, e)`` pairs; others give None and
+    :func:`walk_chain` chunks of ``MAX_CHUNK`` steps, each checked by
+    :func:`first_escape`, so the walk stops within a chunk of an escape.
+    Raises :class:`DomainError` for a non-finite slope."""
+    check_slopes(params)
+    a, b = params.a, params.b
+    x, y = (p0[1], p0[0]) if n < 0 else p0
+    ctx = mpf_context(a, b, x, y)
+    if ctx is not None:
+        chain = walk_mpf(*map(mpf_pair, (a, b, x, y)), abs(n), ctx.prec,
+                         OVERFLOW_LIMIT)
+    else:
+        chain = [y, x]
+        for _, m in chunk_schedule(abs(n), MAX_CHUNK, MAX_CHUNK):
+            part = walk_chain(a, b, chain[-1], chain[-2], m)
+            esc = first_escape(part, 2)
+            chain += part[2:esc]
+            if esc is not None:
+                break
+    k = len(chain) - 1  # a cut chain ends before step k
+    return chain, ctx, (k if k <= abs(n) else None)
+
+
 def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     """Iterate ``|n|`` steps from ``p0`` (backward when ``n < 0``).
 
@@ -94,48 +123,34 @@ def iterate(params: Params, p0: Point, n: int) -> tuple[list[Point], str]:
     with ``-`` and ``y_0 >= 0``) are the whole turns of the lift of the
     circle map: see :func:`pwlin.circle.winding_value`.
 
-    A backward run is the forward run from the swapped start ``(y, x)``
-    with every point swapped back and the word reversed, since
-    :func:`inverse_step` is :func:`step` conjugated by the swap.  Runs
-    from the ``mpmath.mpf`` inputs that :func:`mpf_context` admits are
-    stepped by :func:`walk_mpf`, bit-identical to the loop below.
+    Orbit and word are read off :func:`orbit_chain`.  A backward run is the
+    forward run from the swapped start ``(y, x)`` with every point
+    swapped back and the word reversed, since :func:`inverse_step` is
+    :func:`step` conjugated by the swap.
 
     Raises :class:`DomainError` for a non-finite slope and
     :class:`OrbitOverflowError` carrying the step index at which a
     component escaped.
     """
-    check_slopes(params)
-    a, b = params.a, params.b
-    back = n < 0
-    x, y = (p0[1], p0[0]) if back else p0
-    limit = OVERFLOW_LIMIT
-    orbit = [(x, y)]
-    ctx = mpf_context(a, b, x, y)
+    chain, ctx, escape = orbit_chain(params, p0, n)
+    check_escape(escape)
     if ctx is not None:
         from mpmath.libmp import from_man_exp
 
-        chain = walk_mpf(*map(mpf_pair, (a, b, x, y)), abs(n), ctx.prec,
-                         limit)
-        xs = [x, *map(ctx.make_mpf, starmap(from_man_exp, chain[2:]))]
-        orbit.extend(zip(xs[1:], xs))
         word = "".join([MINUS if m < 0 else PLUS for m, _ in chain[1:-1]])
+        chain = list(map(ctx.make_mpf, starmap(from_man_exp, chain)))
     else:
-        signs: list[str] = []
-        for k in range(abs(n)):
-            slope = a if x >= 0 else b
-            signs.append(PLUS if x >= 0 else MINUS)
-            x, y = slope * x - y, x
-            if abs(x) > limit:
-                raise _escaped(k + 1)
-            orbit.append((x, y))
-        word = "".join(signs)
-    if back:
-        return [(x, y) for y, x in orbit], word[::-1]
-    return orbit, word
+        word = "".join([PLUS if v >= 0 else MINUS for v in chain[1:-1]])
+    if n < 0:
+        return list(zip(chain, chain[1:])), word[::-1]
+    return list(zip(chain[1:], chain)), word
 
 
-def _escaped(k: int) -> OrbitOverflowError:
-    return OrbitOverflowError(f"orbit escaped at step {k}", index=k)
+def check_escape(k: int | None) -> None:
+    """Raise :class:`OrbitOverflowError` for an orbit whose x escaped at
+    step ``k``, unless ``k`` is None."""
+    if k is not None:
+        raise OrbitOverflowError(f"orbit escaped at step {k}", index=k)
 
 
 def mpf_context(*values):
@@ -174,8 +189,7 @@ def walk_mpf(a, b, x, y, n: int, prec: int, limit=None) -> list:
     so every value is what the ``mpf`` operators give, bit for bit.
     The branch is read off the sign of ``m`` (mpf has no negative
     zero).  Returns the chain ``[y, x, x_1, ..., x_n]`` of pairs, not
-    normalized.  With a ``limit``, raises :class:`OrbitOverflowError`
-    at the first step whose ``|x|`` exceeds it, as :func:`iterate` does.
+    normalized, cut before the first x beyond ``limit``, if one is given.
     """
     from mpmath.libmp import from_float, from_man_exp, mpf_gt
 
@@ -187,7 +201,7 @@ def walk_mpf(a, b, x, y, n: int, prec: int, limit=None) -> list:
     push = chain.append
     # both roundings inlined: a helper call per rounding costs what
     # the integer arithmetic saves
-    for k in range(n):
+    for _ in range(n):
         if xm < 0:
             t, e = bm * xm, be + xe
         else:
@@ -212,10 +226,10 @@ def walk_mpf(a, b, x, y, n: int, prec: int, limit=None) -> list:
             else:
                 t = q >> 1
             e += s
+        if e + prec > bits and mpf_gt(from_man_exp(abs(t), e), lim):
+            break
         xm, xe, ym, ye = t, e, xm, xe
         push((t, e))
-        if e + prec > bits and mpf_gt(from_man_exp(abs(t), e), lim):
-            raise _escaped(k + 1)
     return chain
 
 
@@ -269,6 +283,17 @@ def walk_chain(a: float, b: float, x: float, y: float, n: int) -> list:
 #: walking far past their end, long ones keep the per-chunk cost of the
 #: second low.
 FIRST_CHUNK = 16
+#: The longest chunk of a chunked orbit walk.
+MAX_CHUNK = 1024
+
+
+def first_escape(values: list, lo: int) -> int | None:
+    """Smallest k >= lo with ``|values[k]| > OVERFLOW_LIMIT`` (never a
+    nan, as in the per-step overflow test), or None."""
+    rest, limit = values[lo:], OVERFLOW_LIMIT
+    if max(rest) <= limit and min(rest) >= -limit:  # False when rest[0] is nan
+        return None
+    return next((k for k, v in enumerate(rest, lo) if abs(v) > limit), None)
 
 
 def chunk_schedule(total: int, cap: int, first: int = FIRST_CHUNK):

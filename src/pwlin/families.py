@@ -19,7 +19,7 @@ from typing import Callable
 
 from .circle import angle_of, rotation_number
 from .conics import ConicClass, conic_class_of_trace
-from .core import Mat2, Params, iterate
+from .core import Mat2, Params, check_escape, iterate, orbit_chain
 from .errors import (
     ArgumentError,
     DomainError,
@@ -495,8 +495,9 @@ def curve_find(
 
     def objective(t: float) -> tuple[float, float]:
         a, b = slice_fn(t)
-        orbit, _ = iterate(Params(a, b), (0.0, 1.0), k)
-        x, y = orbit[-1]
+        chain, _, escape = orbit_chain(Params(a, b), (0.0, 1.0), k)
+        check_escape(escape)
+        x, y = (chain[-1], chain[-2]) if k > 0 else chain[-2:]
         r = math.hypot(x, y)
         return x / r, y / r
 

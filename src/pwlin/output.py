@@ -12,9 +12,8 @@ from itertools import starmap
 
 import numpy as np
 
-from .core import (OVERFLOW_LIMIT, Params, Point, iterate, mpf_context,
-                   mpf_pair, walk_mpf)
-from .errors import ArgumentError, OrbitOverflowError
+from .core import Params, Point, check_escape, mpf_pair, orbit_chain
+from .errors import ArgumentError
 
 
 def _fmt17(v) -> str:
@@ -99,22 +98,13 @@ def emit_orbit_csv(params: Params, start: Point, n: int, path) -> None:
     Floats and mpmath floats get 17 significant digits, as
     ``mpmath.nstr(v, 17)`` gives them; other types are written as
     ``str`` gives them, so ``Fraction``s exactly, as ``p/q``.  The rows
-    need only the x-chain ``[y, x, x_1, ...]`` of the forward run from
-    ``start``, swapped when ``n < 0`` as :func:`iterate` does.  For the
-    mpf inputs that :func:`mpf_context` admits that is :func:`walk_mpf`'s
-    chain of integer pairs, formatted without making an mpf.  An
-    escaping orbit raises :class:`OrbitOverflowError` before the file is
-    opened.
+    need only :func:`~pwlin.core.orbit_chain`'s x-chain, whose mpf pairs
+    are formatted without making an mpf.  An escaping orbit raises
+    :func:`~pwlin.core.check_escape`'s error before the file is opened.
     """
-    x, y = (start[1], start[0]) if n < 0 else start
-    ctx = mpf_context(params.a, params.b, x, y)
-    if ctx is not None:
-        chain = walk_mpf(*map(mpf_pair, (params.a, params.b, x, y)), abs(n),
-                         ctx.prec, OVERFLOW_LIMIT)
-        cells = list(starmap(_fmt17_pair, chain))
-    else:
-        orbit, _ = iterate(params, (x, y), abs(n))
-        cells = list(map(_fmt17, [y, *(p[0] for p in orbit)]))
+    chain, ctx, escape = orbit_chain(params, start, n)
+    check_escape(escape)
+    cells = list(starmap(_fmt17_pair, chain) if ctx else map(_fmt17, chain))
     pairs = zip(cells[1:], cells) if n >= 0 else zip(cells, cells[1:])
     lines = ["n,x,y"]
     lines.extend(f"{i},{x},{y}" for i, (x, y) in enumerate(pairs))
@@ -160,17 +150,8 @@ class PlotSpec:
     overlay: list[Point] | None = None
 
     def __post_init__(self):
-        if self.n > 10_000_000:
+        if abs(self.n) > 10_000_000:
             raise ArgumentError("iteration count capped at 1e7")
-
-
-def _orbit_points(spec: PlotSpec) -> list[Point]:
-    try:
-        orbit, _ = iterate(spec.params, spec.start, spec.n)
-    except OrbitOverflowError as exc:
-        # divergent orbits are expected; draw the finite prefix
-        orbit, _ = iterate(spec.params, spec.start, max(exc.index - 1, 0))
-    return orbit
 
 
 def emit_svg(spec: PlotSpec) -> None:
@@ -178,11 +159,18 @@ def emit_svg(spec: PlotSpec) -> None:
 
     The view window is the 1%-99% quantile bounding box of all plotted
     points with a 5% margin; the axes are drawn through the origin when
-    it is inside the window.  Pixels are computed in doubles, so an
-    extended-precision orbit is drawn from its float64 values.
+    it is inside the window.  An escaping orbit is drawn up to its
+    escape.  Pixels are computed in doubles, rounded from an mpf chain's
+    integer mantissas as ``float(v)`` rounds the mpf ``v``.
     """
-    orbit = np.array(_orbit_points(spec), dtype=float).reshape(-1, 2)
-    _write_svg(spec, orbit[:, 0], orbit[:, 1])
+    chain, ctx, _ = orbit_chain(spec.params, spec.start, spec.n)
+    if ctx is not None:
+        from mpmath.libmp import from_man_exp, to_float
+
+        chain = [to_float(from_man_exp(m, e), rnd="n") for m, e in chain]
+    xs = np.array(chain, dtype=float)
+    xs, ys = (xs[:-1], xs[1:]) if spec.n < 0 else (xs[1:], xs[:-1])
+    _write_svg(spec, xs, ys)
 
 
 #: Dots per block that the SVG writer formats and writes at a time.

@@ -22,9 +22,9 @@ from functools import cached_property, cmp_to_key
 import numpy as np
 
 from .circle import TWO_PI, angle_of
-from .core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Params, Point,
-                   check_slopes, chunk_schedule, iterate, rescale_chunk,
-                   walk_chain, walk_rescaled, word_matrix)
+from .core import (MAX_CHUNK, MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Params,
+                   Point, check_slopes, chunk_schedule, first_escape, iterate,
+                   rescale_chunk, walk_chain, walk_rescaled, word_matrix)
 from .errors import (ArgumentError, DegenerateError, InconsistentPieceError,
                      NoReturnError, OrbitOverflowError)
 
@@ -72,20 +72,6 @@ def ccw_key(u: Point):
         hp, hq = _half(u, p), _half(u, q)
         return hp - hq if hp != hq else -cross_sign(p, q)
     return cmp_to_key(order)
-
-
-#: Orbit searches walk :func:`~pwlin.core.walk_chain` chunks of
-#: :data:`~pwlin.core.FIRST_CHUNK` steps, doubling up to MAX_CHUNK.
-MAX_CHUNK = 1024
-
-
-def _first_escape(values: list, lo: int) -> int | None:
-    """Smallest k >= lo with ``|values[k]| > OVERFLOW_LIMIT`` (never a
-    nan, as in the per-step overflow test), or None."""
-    rest, limit = values[lo:], OVERFLOW_LIMIT
-    if max(rest) <= limit and min(rest) >= -limit:  # False when rest[0] is nan
-        return None
-    return next((k for k, v in enumerate(rest, lo) if abs(v) > limit), None)
 
 
 @dataclass(frozen=True)
@@ -298,7 +284,7 @@ def first_preimage_in(
     for lo, m in chunk_schedule(max_iter + 1, MAX_CHUNK):
         # point lo + k is (part[k], part[k + 1]), for k = 0..m
         part = walk_chain(params.a, params.b, y, x, m)
-        esc = _first_escape(part, 1)
+        esc = first_escape(part, 1)
         end = m if esc is None else max(esc - 2, 0) + 1
         k = sector.first_inside(part, part[1:], max(i_min - lo, 0), end)
         if k is not None:
@@ -435,7 +421,7 @@ def orbit_relation(
         hits = []
         for sgn, (x, y) in list(lanes.items()):
             chain = walk_chain(params.a, params.b, x, y, m)
-            esc = _first_escape(chain, 2)
+            esc = first_escape(chain, 2)
             end = m + 1 if esc is None else esc - 1
             # point k of the chunk is (chain[k + 1], chain[k]), swapped
             # back for n < 0

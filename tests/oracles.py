@@ -9,7 +9,9 @@ from fractions import Fraction
 import numpy as np
 
 from pwlin.circle import TWO_PI, angle_of, rotation_number, snap_rational
-from pwlin.core import MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step, step
+from pwlin import output
+from pwlin.core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step,
+                        iterate, step)
 from pwlin.errors import DegenerateError, NoReturnError, OrbitOverflowError
 from pwlin.returnmap import OrbitRelation, Ray
 
@@ -81,6 +83,20 @@ def iterate_backward(params, p0, n):
         orbit.append((x, y))
         signs.append(PLUS if x >= 0 else MINUS)
     return orbit, "".join(reversed(signs))
+
+
+def emit_svg(spec):
+    """:func:`pwlin.emit_svg` drawn from :func:`iterate`'s points, each
+    coordinate converted by ``float(v)`` (for an mpf orbit, one mpf made
+    and converted per value).  An escaping orbit is drawn up to its
+    escape, in the direction of ``spec.n``."""
+    try:
+        orbit, _ = iterate(spec.params, spec.start, spec.n)
+    except OrbitOverflowError as exc:
+        k = exc.index - 1
+        orbit, _ = iterate(spec.params, spec.start, -k if spec.n < 0 else k)
+    output._write_svg(spec, np.array([float(x) for x, _ in orbit]),
+                      np.array([float(y) for _, y in orbit]))
 
 
 def first_preimage_in(params, target, sector, i_min=0, max_iter=10000):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pwlin import (
@@ -368,6 +368,10 @@ def _outcome(fn, *args):
     (("1", "1"), ("1.2e300", "0"), 3),  # escapes just above the limit
     (("1", "1"), ("-1.2e300", "0"), 3),  # and below minus the limit
     (("1", "1"), ("1e300", "0"), 3),  # at the limit: no escape
+    (("2", "-2"), ("6e299", "0"), 5),  # escapes at step 1
+    (("1", "1"), ("1.2e300", "0"), 0),  # a start beyond the limit, n = 0
+    # the start is not tested: one step is fine, the second escapes
+    (("1e-10", "1e-10"), ("1.2e300", "0"), 2),
 ])
 def test_iterate_mpf_walker_matches_generic_loop(prec, slopes, start, n):
     mpmath = pytest.importorskip("mpmath")
@@ -418,6 +422,12 @@ _signed_zeros = st.sampled_from([0.0, -0.0])
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
        st.one_of(_signed_zeros, _coords), st.one_of(_signed_zeros, _coords),
        st.integers(0, 300), st.sampled_from([None, 53, 113]))
+@example(1e6, 1e6, 0.0, 1.0, 300, None)  # escapes near step 50
+@example(1e6, 1e6, 0.0, 1.0, 300, 113)
+@example(2.0, -2.0, 0.0, 6e299, 5, None)  # escapes at step 1
+@example(2.0, -2.0, 0.0, 6e299, 1, 113)  # at the last step
+@example(1e-10, 1e-10, 0.0, 1.2e300, 1, None)  # a start beyond the limit
+@example(1.0, 1.0, 0.0, 1.2e300, 0, 113)
 def test_iterate_backward_matches_inverse_step_loop(a, b, x, y, n, prec):
     # backward runs are swapped forward runs; the per-step inverse loop
     # they replaced must agree on every point, the word and the escape
@@ -457,6 +467,12 @@ def test_iterate_generic_types_skip_the_walker(monkeypatch):
         (Params(mpf("1.2"), mpf("-1.3")), (mpf(0), third)),
         (Params(floor.mpf("1.2"), floor.mpf("-1.3")),
          (floor.mpf(0), floor.mpf(1))),
+        # escapes, in chunks walked by the generic walker
+        (Params(2.0, -2.0), (6e299, 0.0)),  # at step 1
+        (Params(1e-10, 1e-10), (1.2e300, 0.0)),  # the start is not tested
+        (Params(Fraction(3), Fraction(3)), (Fraction(10 ** 299), Fraction(0))),
+        (Params(mpf(3), 3.0), (1e299, 0.0)),  # mixed types
+        (Params(floor.mpf(3), floor.mpf(3)), (floor.mpf(1e299), floor.mpf(0))),
     ]
     for params, p0 in cases:
         got = _outcome(iterate, params, p0, 12)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwlin import Params, PlotSpec, emit_svg
-from pwlin.core import mpf_pair
+from pwlin import Params, PlotSpec, emit_orbit_csv, emit_svg, iterate
+from pwlin.core import mpf_pair, orbit_chain
+from pwlin.errors import ArgumentError, OrbitOverflowError
 from pwlin.output import (SVG_BLOCK, _fmt17, _fmt17_pair, _format_rows,
                           _write_svg)
 
@@ -233,6 +234,94 @@ def test_non_finite_slopes_write_no_file(tmp_path, slopes):
     with pytest.raises(DomainError, match="slopes must be finite"):
         emit_orbit_csv(params, (0.0, 1.0), 50, tmp_path / "o.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+# --------------- the orbit walk behind the plot ---------------
+
+@pytest.mark.parametrize("prec", [53, 113, 2000])
+@pytest.mark.parametrize("slopes, start, n", [
+    (("1.189207115002721", "-1.189207115002721"), ("0", "1"), 3000),
+    # every point is a subnormal double
+    (("1.189207115002721", "-1.189207115002721"), ("0", "1e-310"), -500),
+    (("3", "3"), ("1", "0"), 2000),  # escapes at step 718
+])
+def test_mpf_svg_matches_the_iterate_oracle(tmp_path, monkeypatch, prec,
+                                            slopes, start, n):
+    # the mantissa path rounds each value to a double as float(mpf) does:
+    # the same arrays reach the writer, and the same bytes the file
+    import pwlin.output as output_mod
+    from oracles import emit_svg as oracle_svg
+
+    drawn = []
+    write = output_mod._write_svg
+
+    def recording(spec, xs, ys):
+        drawn.append((xs.tobytes(), ys.tobytes()))
+        write(spec, xs, ys)
+
+    monkeypatch.setattr(output_mod, "_write_svg", recording)
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    with mpmath.workprec(prec):
+        params = Params(*map(mpmath.mpf, slopes))
+        p0 = tuple(map(mpmath.mpf, start))
+        emit_svg(PlotSpec(params, p0, n, str(got)))
+        oracle_svg(PlotSpec(params, p0, n, str(want)))
+        chain, ctx, _ = orbit_chain(params, p0, n)
+    assert ctx is not None  # the mantissa path drew it
+    assert drawn[0] == drawn[1]
+    assert got.read_bytes() == want.read_bytes()
+    xs = np.frombuffer(drawn[0][0])
+    if start[1] == "1e-310":
+        assert 0.0 < np.abs(xs).max() < 2.0 ** -1022
+    if prec == 2000 and "." in slopes[0]:
+        # 2000-bit slopes; float(m) of such a mantissa raises OverflowError
+        assert max(abs(m) for m, _ in chain).bit_length() > 1024
+
+
+@pytest.mark.parametrize("prec", [None, 113])
+def test_iterate_csv_and_svg_agree_on_the_escape(tmp_path, prec):
+    # at a = b = 3 the orbit of (1, 0) escapes at step 718: iterate and
+    # the CSV writer raise that index, the writer leaving no file, and
+    # the plot draws the 718 points before it
+    conv = float if prec is None else mpmath.mpf
+    csv = tmp_path / "o.csv"
+    with mpmath.workprec(prec or 53):
+        params, p0 = Params(conv(3), conv(3)), (conv(1), conv(0))
+        message = "^orbit escaped at step 718$"
+        with pytest.raises(OrbitOverflowError, match=message) as walked:
+            iterate(params, p0, 2000)
+        with pytest.raises(OrbitOverflowError, match=message) as written:
+            emit_orbit_csv(params, p0, 2000, csv)
+        assert walked.value.index == written.value.index == 718
+        assert not csv.exists()
+        orbit, _ = iterate(params, p0, 717)
+        emit_svg(PlotSpec(params, p0, 2000, str(tmp_path / "escaped.svg")))
+        emit_svg(PlotSpec(params, p0, 717, str(tmp_path / "prefix.svg")))
+    assert len(orbit) == 718
+    assert ((tmp_path / "escaped.svg").read_bytes()
+            == (tmp_path / "prefix.svg").read_bytes())
+
+
+def test_svg_of_an_escaping_backward_orbit_draws_its_backward_prefix(
+        tmp_path):
+    # the backward orbit of (0.3, 1) at a = b = 3 escapes at step 718; the
+    # escaped plot is the 717-step backward one, not the forward one
+    def plot(n):
+        path = tmp_path / f"{n}.svg"
+        emit_svg(PlotSpec(Params(3.0, 3.0), (0.3, 1.0), n, str(path)))
+        return path.read_bytes()
+
+    with pytest.raises(OrbitOverflowError, match="step 718$"):
+        iterate(Params(3.0, 3.0), (0.3, 1.0), -1000)
+    assert plot(-1000) == plot(-717)
+    assert plot(-1000) != plot(717)
+
+
+@pytest.mark.parametrize("n", [10_000_001, -10_000_001])
+def test_plot_spec_caps_the_step_count_both_ways(n):
+    with pytest.raises(ArgumentError, match="iteration count capped at 1e7"):
+        PlotSpec(Params(1.2, -1.2), (0.0, 1.0), n, "never-written.svg")
+    PlotSpec(Params(1.2, -1.2), (0.0, 1.0), n - (n > 0) + (n < 0), "x.svg")
 
 
 # --------------- the orbit CSV's pair formatter against to_str ---------------

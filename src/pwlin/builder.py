@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .circle import rotation_brackets, rotation_number, snap_rational
 from .conics import (ConicArc, ConicClass, arc_in_sector, conic_class_of_trace,
                      invariant_form, level_through)
@@ -258,6 +256,8 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
     """:func:`residual_report`, plus the first ``keep + 1`` points of its
     orbit (``start`` included) as float64 x and y arrays, taken from the
     same walk."""
+    import numpy as np
+
     sectors = [arc.sector for arc in circle.arcs]
     coef_a = np.array([arc.form.A for arc in circle.arcs])
     coef_2b = np.array([2.0 * arc.form.B for arc in circle.arcs])

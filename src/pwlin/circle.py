@@ -5,8 +5,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (Params, Point, check_slopes, mpf_context, mpf_pair,
                    rescale_chunk, step, walk_chain, walk_mpf, walk_rescaled)
 from .errors import ArgumentError, DegenerateError
@@ -223,6 +221,8 @@ def rotation_brackets(params: Params, steps: int):
     a, b = params.a, params.b
     if _backend(a, b) is not math:
         return
+    import numpy as np
+
     chunk = rescale_chunk((a, b), ROTATION_BLOCK) or 1
     turns = 0
     lower = upper = None
@@ -252,6 +252,8 @@ def _sum_turns(angles: list[float], prev: float, total: float) -> float:
     """``total`` plus the lift increments along ``angles`` in turns, as
     the per-step loop adds them: each difference unwrapped to
     [-pi/2, 3*pi/2), divided by 2*pi, and summed left to right."""
+    import numpy as np
+
     d = np.diff(np.array(angles), prepend=prev)
     d = np.where(d < -_HALF_PI, d + TWO_PI,
                  np.where(d >= _THREE_HALF_PI, d - TWO_PI, d))

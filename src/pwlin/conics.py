@@ -11,8 +11,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circle import TWO_PI, normalize
 from .core import Mat2, Point
 from .errors import (ArgumentError, AsymptoteInSectorError, DegenerateError,
@@ -73,6 +71,8 @@ class QuadraticForm:
         return ConicClass.ELLIPSE if d < 0.0 else ConicClass.HYPERBOLA
 
     def gram(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.A, self.B], [self.B, self.C]])
 
 
@@ -206,6 +206,8 @@ class ConicArc:
 def _principal_frame(form: QuadraticForm):
     """Orthonormal eigenframe (columns) of the Gram matrix with det +1
     and eigenvalues sorted ascending."""
+    import numpy as np
+
     evals, evecs = np.linalg.eigh(form.gram())
     if np.linalg.det(evecs) < 0:
         evecs = evecs.copy()

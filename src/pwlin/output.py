@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import starmap
 
-import numpy as np
-
 from .core import Params, Point, check_escape, mpf_pair, orbit_chain
 from .errors import ArgumentError
 
@@ -163,6 +161,8 @@ def emit_svg(spec: PlotSpec) -> None:
     escape.  Pixels are computed in doubles, rounded from an mpf chain's
     integer mantissas as ``float(v)`` rounds the mpf ``v``.
     """
+    import numpy as np
+
     chain, ctx, _ = orbit_chain(spec.params, spec.start, spec.n)
     if ctx is not None:
         from mpmath.libmp import from_man_exp, to_float
@@ -196,6 +196,8 @@ def _write_svg(spec: PlotSpec, xs: np.ndarray, ys: np.ndarray) -> None:
     arithmetic silently and never do.  The dots are written in blocks
     of ``SVG_BLOCK``.
     """
+    import numpy as np
+
     overlay = np.array(spec.overlay or [], dtype=float).reshape(-1, 2)
     all_x = np.concatenate([xs, overlay[:, 0]])
     all_y = np.concatenate([ys, overlay[:, 1]])
@@ -259,6 +261,8 @@ def _format_rows(pieces: tuple[bytes, ...], *columns: np.ndarray) -> bytes:
     The rows are cells of a byte matrix, fixed pieces and right-aligned
     numbers, and a mask of the cells in use picks the output.
     """
+    import numpy as np
+
     count = len(columns[0])
     cells, used = [], []
     for i, piece in enumerate(pieces):
@@ -283,6 +287,8 @@ def _fixed2(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small negatives give "-0.00" as ``%`` does.  The other elements
     (near ties, non-finite, large) are formatted by ``%`` itself.
     """
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.abs(v) * 100.0
         fast = (t < _CENTS_LIMIT) & (np.abs(t - np.floor(t) - 0.5)

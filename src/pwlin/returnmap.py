@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 
-import numpy as np
-
 from .circle import TWO_PI, angle_of
 from .core import (MAX_CHUNK, MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Params,
                    Point, check_slopes, chunk_schedule, first_escape, iterate,
@@ -150,6 +148,8 @@ class Sector:
     def first_inside(self, xs, ys, lo: int, hi: int) -> int | None:
         """Smallest k in [lo, hi) with the float point ``(xs[k], ys[k])``
         inside, or None: :meth:`contains` over the range, in numpy."""
+        import numpy as np
+
         first, ahead = _sides((self.start.direction, self.end.direction),
                               np.array(xs[lo:hi], float),
                               np.array(ys[lo:hi], float))
@@ -187,6 +187,8 @@ def _sides(rays, x: np.ndarray,
     exceeds ``_ERR * c * max(|x|, |y|) + _TINY``, c the largest
     |u[0]| + |u[1]|, which bounds its error; :func:`cross_sign` and
     :func:`_half` decide the rest."""
+    import numpy as np
+
     scale = _ERR * max(abs(a) + abs(b) for a, b in rays)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan points
         d = np.array([(-b, a) for a, b in rays]) @ np.vstack((x, y))
@@ -205,6 +207,8 @@ def first_sector(sectors: list[Sector], x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
     """Index of the first of ``sectors`` that contains each float point
     (x[k], y[k]), or -1; the sides of a shared ray are found once."""
+    import numpy as np
+
     row = {r: j for j, r in enumerate(dict.fromkeys(
         r.direction for s in sectors for r in (s.start, s.end)))}
     first, ahead = _sides(list(row), x, y)

@@ -22,8 +22,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .circle import (RotationEstimate, rotation_number, snap_rational,
                      winding_value)
 from .core import (GROWTH_BITS, OVERFLOW_LIMIT, Mat2, Params, iterate,
@@ -261,31 +259,51 @@ def _orbit_stats(cells: list[Params], budget: int,
     rows are rescaled by an exact power of two into the first two.  The
     rotation estimate is :func:`~pwlin.circle.winding_value` of each
     (1, 0) lane's count of steps from ``x < 0 <= y`` and its last point.
+
+    The buffer holds each lane in a sign-folded frame, ``z = c * x`` with
+    ``c = +1`` where ``a >= b`` and ``-1`` elsewhere, where the step
+    ``F(x) = (a if x >= 0 else b) * x`` becomes ``c * F(x) = max(a * z,
+    b * z)``.  Rounding to nearest is monotone, so ``max`` picks the
+    rounded product of the right slope, and odd, as negation is exact,
+    so ``fl(a * z) = c * fl(a * x)`` and ``fl(u - v)`` in the frame is
+    ``c`` times the difference of the x lane: the z lane is ``c * x``
+    bit for bit, up to the sign of a zero.  That sign never reaches a
+    nonzero value: two consecutive x are never both zero (the start
+    pairs are not, and ``x_{n+1} = F(x_n) - x_{n-1}`` is ``-x_{n-1}``
+    where ``x_n`` is zero), a zero times a slope is a zero, and a
+    nonzero minus a zero (or a zero minus a nonzero) is exact.  The norm
+    runs and the rescaling read only magnitudes, the turn count reads
+    ``c * z`` through ``< 0`` and ``>= 0``, which take no zero sign, and
+    the end point is ``c * z`` with its y passed through ``+ 0.0``.
     """
+    import numpy as np
+
     n = len(cells)
     a = np.array([c.a for c in cells], dtype=float)
     b = np.array([c.b for c in cells], dtype=float)
-    slope_a, slope_b = np.tile(a, 2), np.tile(b, 2)
+    slopes = np.tile([a, b], 2)  # (2, lanes): each lane's a and b
+    sign = np.where(slopes[0] >= slopes[1], 1.0, -1.0)
     chunk = rescale_chunk((np.abs(a).max(), np.abs(b).max()), _CHUNK)
 
     buf = np.empty((chunk + 2, 2 * n))
     rows = list(buf)
-    buf[0] = np.repeat([0.0, 1.0], n)
-    buf[1] = np.repeat([1.0, 0.0], n)
+    buf[0] = np.repeat([0.0, 1.0], n) * sign
+    buf[1] = np.repeat([1.0, 0.0], n) * sign
+    prod = np.empty((2, 2 * n))
+    prod_a, prod_b = prod
     expo = np.zeros(2 * n, dtype=np.int64)  # true lane = buffer * 2**expo
-    nonneg = np.empty(2 * n, dtype=bool)
     turns = np.zeros(n, dtype=np.int64)
     runs = _NormRuns(n, chunk, cap)
 
     done = 0
     while done < budget:
         m = min(chunk, budget - done)
-        for y, x, row in zip(rows, rows[1:m + 1], rows[2:m + 2]):
-            np.greater_equal(x, 0.0, out=nonneg)
-            np.multiply(np.where(nonneg, slope_a, slope_b), x, out=row)
+        for y, z, row in zip(rows, rows[1:m + 1], rows[2:m + 2]):
+            np.multiply(slopes, z, out=prod)
+            np.maximum(prod_a, prod_b, out=row)
             np.subtract(row, y, out=row)
-        turns += np.count_nonzero(
-            (buf[1:m + 1, :n] < 0.0) & (buf[:m, :n] >= 0.0), axis=0)
+        xs = buf[:m + 1, :n] * sign[:n]
+        turns += np.count_nonzero((xs[1:] < 0.0) & (xs[:-1] >= 0.0), axis=0)
         runs.fold(buf[2:m + 2], buf[1:m + 1], expo)
 
         _, e = np.frexp(np.abs(buf[m:m + 2]).max(axis=0))
@@ -294,7 +312,8 @@ def _orbit_stats(cells: list[Params], budget: int,
         done += m
 
     # + 0.0 turns a y of -0.0, which the count read as y >= 0, into +0.0
-    ends = zip(buf[1, :n].tolist(), (buf[0, :n] + 0.0).tolist())
+    ends = zip((buf[1, :n] * sign[:n]).tolist(),
+               (buf[0, :n] * sign[:n] + 0.0).tolist())
     return [(RotationEstimate(winding_value(t, (1.0, 0.0), end, budget),
                               budget, 1.0 / budget), stats)
             for t, end, stats in zip(turns.tolist(), ends, runs.stats())]
@@ -315,6 +334,8 @@ class _NormRuns:
     """
 
     def __init__(self, n: int, rows: int, cap: float):
+        import numpy as np
+
         self.cap = cap
         self.mx, self.mn = np.ones(2 * n), np.ones(2 * n)
         self.near = np.full(2 * n, math.inf)
@@ -346,6 +367,8 @@ class _NormRuns:
         that stop inside the chunk are cut at their stopping row; the
         rest take whole-chunk extremes from :func:`_norm_extremes`.
         """
+        import numpy as np
+
         live = self.live
         idx = np.flatnonzero(live)
         if not idx.size:
@@ -397,6 +420,8 @@ def norm_runs(params: Params, budget: int, cap: float) -> _NormStats:
     float values (so mpf slopes get long chunks too), one step where it
     rejects them.
     """
+    import numpy as np
+
     a, b = params.a, params.b
     chunk = rescale_chunk((float(a), float(b)), GROWTH_BITS) or 1
     lanes = [walk_rescaled(a, b, x, y, budget, chunk, chunk)
@@ -444,6 +469,8 @@ def _norm_extremes(x, y):
     every element is a candidate, since ``s`` (inf where ``x*x``
     overflows) is its own column extreme.
     """
+    import numpy as np
+
     xx = x * x
     s = y * y
     s += xx

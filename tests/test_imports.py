@@ -1,0 +1,99 @@
+"""Import footprint: numpy is loaded only by the commands that compute
+arrays.  Each check runs in a fresh interpreter, since this process has
+numpy loaded already."""
+import json
+import os
+import subprocess
+import sys
+
+import pwlin
+
+SRC = os.path.dirname(os.path.dirname(pwlin.__file__))
+
+MODULES = ["pwlin", "pwlin.builder", "pwlin.circle", "pwlin.cli",
+           "pwlin.conics", "pwlin.core", "pwlin.errors", "pwlin.families",
+           "pwlin.output", "pwlin.returnmap", "pwlin.scanner"]
+
+A = "1.189207115002721"
+
+_RUN = """
+import contextlib, io, json, os, sys
+import pwlin, pwlin.cli
+
+def run(argv, precision=None):
+    if precision is None:
+        os.environ.pop("PWLIN_PRECISION", None)
+    else:
+        os.environ["PWLIN_PRECISION"] = precision
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = pwlin.cli.cli(argv)
+    return [argv[0], rc, "numpy" in sys.modules, out.getvalue()]
+"""
+
+
+def _python(code, cwd):
+    done = subprocess.run([sys.executable, "-c", _RUN + code],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": SRC})
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout)
+
+
+def test_importing_the_cli_loads_every_module_and_no_numpy(tmp_path):
+    # perfbench/tracer.py looks each traced layer up in sys.modules when
+    # it installs, so importing the CLI must load every pwlin module
+    got = _python("print(json.dumps(['numpy' in sys.modules, sorted(m for m "
+                  "in sys.modules if m.split('.')[0] == 'pwlin')]))", tmp_path)
+    assert got == [False, MODULES]
+
+
+def test_scalar_and_extended_precision_commands_never_load_numpy(tmp_path):
+    got = _python(f"""
+calls = [
+    run(["--help"]),
+    run(["orbit", "-a", "{A}", "-b", "-{A}", "-x", "0", "-y", "1",
+         "-n", "500", "--out", "f.csv"]),
+    run(["trace-curve", "--k", "-8", "--slice", "b=-a",
+         "--bracket", "1.15", "1.25"]),
+    run(["rotation", "-a", "{A}", "-b", "-{A}", "-N", "2000"], "113"),
+    run(["orbit", "-a", "{A}", "-b", "-{A}", "-x", "0", "-y", "1",
+         "-n", "500", "--out", "m.csv"], "113"),
+]
+print(json.dumps(calls))
+""", tmp_path)
+    assert [c[:3] for c in got] == [
+        ["--help", 0, False], ["orbit", 0, False], ["trace-curve", 0, False],
+        ["rotation", 0, False], ["orbit", 0, False]]
+    assert got[3][3].startswith("rotation value: mpf('0.204")
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 502
+
+
+def test_scalar_library_calls_never_load_numpy(tmp_path):
+    got = _python("""
+import mpmath
+from pwlin import (Params, curve_find, iterate, orbit_relation,
+                   rotation_number)
+a = 2.0 ** 0.25
+iterate(Params(a, -a), (0.0, 1.0), 1000)
+rel = orbit_relation(Params(a, -a))
+root = curve_find(-8, lambda t: (t, -t), (1.15, 1.25))
+with mpmath.workprec(113):
+    m = mpmath.mpf(a)
+    iterate(Params(m, -m), (mpmath.mpf(0), mpmath.mpf(1)), 1000)
+    rotation_number(Params(m, -m), (mpmath.mpf(1), mpmath.mpf(0)), 1000)
+print(json.dumps(["numpy" in sys.modules, rel.n, root]))
+""", tmp_path)
+    assert got[0] is False
+    assert got[1] == -8
+    assert abs(got[2] - 2.0 ** 0.25) < 1e-12
+
+
+def test_scan_loads_numpy_on_first_use(tmp_path):
+    got = _python("""
+before = "numpy" in sys.modules
+call = run(["scan", "--a-min", "-2", "--a-max", "2", "--b-min", "-2",
+            "--b-max", "2", "--resolution", "4", "--out", "s.csv"])
+print(json.dumps([before] + call[:3]))
+""", tmp_path)
+    assert got == [False, "scan", 0, True]
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 17

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwlin import (
@@ -366,6 +366,8 @@ _KERNEL_GRIDS = [
     # a wider grid without a cap and with a cap below the start
     (((-4.0, 4.0), (-4.0, 4.0), 12), 3000, False, math.inf),
     (((-4.0, 4.0), (-4.0, 4.0), 6), 1500, False, 0.5),
+    # a < b on every cell: every lane walks the negated frame
+    (((-2.5, 0.5), (0.6, 2.5), 5), 2000, False, 1e6),
 ]
 
 
@@ -405,6 +407,36 @@ def test_kernel_rotation_matches_mpf_rotation_number(budget):
             want = rotation_number(Params(mpf(params.a), mpf(params.b)),
                                    (mpf(1), mpf(0)), budget).value
             assert math.isclose(est.value, float(want), rel_tol=1e-14), params
+
+
+_KERNEL_SLOPES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _kernel_cells(draw):
+    """1 to 6 cells, each drawn as is, with a < b, or with a == b."""
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(_KERNEL_SLOPES), draw(_KERNEL_SLOPES)
+        kind = draw(st.sampled_from(["drawn", "a < b", "a == b"]))
+        if kind == "a < b":
+            a, b = min(a, b), max(a, b)
+        elif kind == "a == b":
+            b = a
+        cells.append(Params(a, b))
+    return cells
+
+
+@example(cells=[Params(-1.3, 1.2), Params(0.7, 0.7), Params(0.0, -1.2),
+                Params(-0.0, 0.0), Params(0.0, 1.5), Params(-2.0, -0.0)],
+         budget=398)
+@settings(max_examples=300)
+@given(cells=_kernel_cells(), budget=st.integers(2, 400))
+def test_kernel_sign_folded_frame_matches_reference(cells, budget):
+    """The kernel steps z = c * x (c = -1 where a < b) by max(a*z, b*z);
+    the reference kernel steps x itself, so any bit that the frame
+    changes shows here."""
+    _assert_kernel_matches_reference(cells, budget, 1e6)
 
 
 def _first_stop(params, start, cap, budget):

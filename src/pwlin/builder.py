@@ -45,7 +45,9 @@ class InvariantCircle:
     orbit points; they all share one conic class.  ``max_residual`` is
     the worst level residual of the distinguished points against their
     sectors' forms, ``max_gap`` the worst relative endpoint mismatch
-    between adjacent arcs.
+    between adjacent arcs.  Every arc starts and ends exactly on its
+    sector's boundary rays, so ``max_gap`` measures only how far the
+    forms and levels of adjacent sectors disagree on their shared ray.
     """
 
     params: Params
@@ -212,14 +214,14 @@ def _points_residual(arcs: list[ConicArc], points: list[Point]) -> float:
 
 def _adjacent_gap(arcs: list[ConicArc]) -> float:
     """Worst relative mismatch between an arc's end and the next start."""
-    worst = 0.0
-    for i, arc in enumerate(arcs):
-        nxt = arcs[(i + 1) % len(arcs)]
-        pa = arc.samples[-1]
-        pb = nxt.samples[0]
-        scale = max(math.hypot(*pa), math.hypot(*pb), 1e-300)
-        worst = max(worst, math.hypot(pa[0] - pb[0], pa[1] - pb[1]) / scale)
-    return worst
+    return max(_relative_gap(arc.samples[-1], nxt.samples[0])
+               for arc, nxt in zip(arcs, arcs[1:] + arcs[:1]))
+
+
+def _relative_gap(p: Point, q: Point) -> float:
+    """|p - q| / max(|p|, |q|), with 1e-300 guarding two zero points."""
+    scale = max(math.hypot(*p), math.hypot(*q), 1e-300)
+    return math.hypot(p[0] - q[0], p[1] - q[1]) / scale
 
 
 def residual_report(
@@ -324,12 +326,7 @@ def circle_to_polyline(
     out: list[Point] = []
     for arc in arcs:
         pts = arc.samples
-        if out and _close(out[-1], pts[0]):
+        if out and _relative_gap(out[-1], pts[0]) <= 1e-9:
             pts = pts[1:]
         out.extend(pts)
     return out
-
-
-def _close(p: Point, q: Point, tol: float = 1e-9) -> bool:
-    scale = max(math.hypot(*p), math.hypot(*q), 1e-300)
-    return math.hypot(p[0] - q[0], p[1] - q[1]) <= tol * scale

@@ -4,6 +4,10 @@ A matrix M = [[a, b], [c, d]] with det 1 (and M != +-I) preserves the
 form Q(x, y) = c*x^2 + (d - a)*x*y - b*y^2, and every matrix commuting
 with M preserves the same form.  Its level sets are ellipses, hyperbolas
 or parallel line pairs according to |tr M| < 2, > 2, or = 2.
+
+Arcs of every class are sampled along the form's area flow
+p' = sign(level)*J*G*p (G the Gram matrix of Q, J the quarter turn),
+which keeps Q and sweeps area counter-clockwise at the rate |level| / 2.
 """
 from __future__ import annotations
 
@@ -69,11 +73,6 @@ class QuadraticForm:
         if abs(d) <= disc_tol:
             return ConicClass.PARALLEL_LINES
         return ConicClass.ELLIPSE if d < 0.0 else ConicClass.HYPERBOLA
-
-    def gram(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[self.A, self.B], [self.B, self.C]])
 
 
 def invariant_form(m: Mat2, tol: float = 1e-10) -> QuadraticForm:
@@ -203,25 +202,15 @@ class ConicArc:
         return max(abs(self.form(p) - lam) / scale for p in self.samples)
 
 
-def _principal_frame(form: QuadraticForm):
-    """Orthonormal eigenframe (columns) of the Gram matrix with det +1
-    and eigenvalues sorted ascending."""
-    import numpy as np
-
-    evals, evecs = np.linalg.eigh(form.gram())
-    if np.linalg.det(evecs) < 0:
-        evecs = evecs.copy()
-        evecs[:, 1] = -evecs[:, 1]
-    return evals, evecs
-
-
 def _boundary_point(form: QuadraticForm, level: float, ray: Ray) -> Point:
     """Intersection of the level set with a boundary ray."""
     d = normalize(ray.direction)
     qd = form(d)
-    if qd == 0.0 or (qd > 0.0) != (level > 0.0):
+    if qd == 0.0 or level == 0.0 or (qd > 0.0) != (level > 0.0):
         raise DegenerateError("level set does not meet the boundary ray")
     s = math.sqrt(level / qd)
+    if not math.isfinite(s):
+        raise DegenerateError("level set meets the boundary ray out of range")
     return (s * d[0], s * d[1])
 
 
@@ -235,9 +224,13 @@ def arc_in_sector(
 ) -> ConicArc:
     """Sample the level-set component through ``anchor`` inside ``sector``.
 
-    Ellipses are parametrized by angle in the principal frame,
-    hyperbolas by the hyperbolic parameter on the anchored branch,
-    parallel lines affinely.
+    The samples follow the area flow from the level set's point on the
+    start ray to its point on the end ray, which are the first and last
+    samples exactly, in steps of equal swept area.  Each ray meets the
+    level set at most once, so this is the component through ``anchor``.
+    The class only labels the arc and gates the asymptote test.
+    DegenerateError is raised when the flow does not run from the start
+    point to the end point counter-clockwise.
 
     The class is the form's own (:meth:`QuadraticForm.conic_class`),
     except that ``trace_class``, the class of the generating matrix's
@@ -263,11 +256,7 @@ def arc_in_sector(
     cls = form.conic_class()
     if cls is ConicClass.PARALLEL_LINES and trace_class is not None:
         cls = trace_class
-    if cls is ConicClass.ELLIPSE:
-        samples = _sample_ellipse(form, level, sector, n_samples)
-    elif cls is ConicClass.PARALLEL_LINES:
-        samples = _sample_line(form, level, sector, anchor, n_samples)
-    else:
+    if cls is ConicClass.HYPERBOLA:
         for d in null_directions(form):
             for v in (d, (-d[0], -d[1])):
                 if sector.contains(v):
@@ -276,92 +265,53 @@ def arc_in_sector(
                         "the restricted level set is unbounded",
                         eigenray=v,
                     )
-        samples = _sample_hyperbola(form, level, sector, anchor, n_samples)
+    samples = _sample_arc(form, level, sector, n_samples)
     return ConicArc(form, level, sector, cls, anchor, samples)
 
 
-def _sample_ellipse(form, level, sector, n_samples):
-    evals, evecs = _principal_frame(form)
-    e1, e2 = float(evals[0]), float(evals[1])
-    w1 = (float(evecs[0, 0]), float(evecs[1, 0]))
-    w2 = (float(evecs[0, 1]), float(evecs[1, 1]))
-    if level / e1 <= 0.0 or level / e2 <= 0.0:
-        raise DegenerateError("empty elliptic level set")
-    r1 = math.sqrt(level / e1)
-    r2 = math.sqrt(level / e2)
+def _sample_arc(form: QuadraticForm, level: float, sector: Sector,
+                n_samples: int) -> list[Point]:
+    """Samples at equal time steps of the flow p' = K p, K = sign(level)*J*G.
 
-    def param_at(p: Point) -> float:
-        c1 = (p[0] * w1[0] + p[1] * w1[1]) / r1
-        c2 = (p[0] * w2[0] + p[1] * w2[1]) / r2
-        return math.atan2(c2, c1)
-
-    def point_at(t: float) -> Point:
-        c1 = r1 * math.cos(t)
-        c2 = r2 * math.sin(t)
-        return (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
-
-    t_start = param_at(_boundary_point(form, level, sector.start))
-    t_end = param_at(_boundary_point(form, level, sector.end))
-    # det(frame) = +1, so the plane angle increases with t and the CCW
-    # arc from the start ray is the interval [t_start, t_start + dt]
-    dt = math.fmod(t_end - t_start, TWO_PI)
-    if dt < 0.0:
-        dt += TWO_PI
-    return [point_at(t_start + dt * j / (n_samples - 1))
-            for j in range(n_samples)]
-
-
-def _sample_hyperbola(form, level, sector, anchor, n_samples):
-    evals, evecs = _principal_frame(form)
-    e_min, e_max = float(evals[0]), float(evals[1])
-    w_min = (float(evecs[0, 0]), float(evecs[1, 0]))
-    w_max = (float(evecs[0, 1]), float(evecs[1, 1]))
-    # cosh-axis: the eigenvector whose eigenvalue has the sign of level
-    if level > 0.0:
-        ec, es = e_max, e_min
-        wc, ws = w_max, w_min
+    K^2 = (disc / 4)*I, so exp(tK) p0 = cos(wt) p0 + sin(wt) K p0 / w,
+    with w = sqrt(|disc|) / 2, cosh and sinh in place of cos and sin when
+    disc > 0, and w = 1, cos = 1, sin(x) = x when disc = 0.  The end
+    phase w*t1 solves cross(p0, p1) = |level| sin(w*t1) / w and
+    p0^T G p1 = level cos(w*t1); it must be finite and positive, and its
+    point must be p1 within 1e-9 relative.  The last sample is p1.
+    """
+    p0 = _boundary_point(form, level, sector.start)
+    p1 = _boundary_point(form, level, sector.end)
+    (x0, y0), (x1, y1) = p0, p1
+    A, B, C = form.A, form.B, form.C
+    sign = 1.0 if level > 0.0 else -1.0
+    cross = x0 * y1 - y0 * x1
+    disc = form.disc
+    w = 0.5 * math.sqrt(abs(disc))
+    if disc < 0.0:
+        dot = x0 * (A * x1 + B * y1) + y0 * (B * x1 + C * y1)
+        phase = math.atan2(w * cross, sign * dot) % TWO_PI
+        cos, sin = math.cos, math.sin
+    elif disc > 0.0:
+        phase = math.asinh(w * cross / abs(level))
+        cos, sin = math.cosh, math.sinh
     else:
-        ec, es = e_min, e_max
-        wc, ws = w_min, w_max
-    rc = math.sqrt(level / ec)
-    rs = math.sqrt(-level / es)
-    branch = 1.0 if (anchor[0] * wc[0] + anchor[1] * wc[1]) >= 0.0 else -1.0
-
-    def param_at(p: Point) -> float:
-        return math.asinh((p[0] * ws[0] + p[1] * ws[1]) / rs)
-
-    def point_at(s: float) -> Point:
-        c = branch * rc * math.cosh(s)
-        d = rs * math.sinh(s)
-        return (c * wc[0] + d * ws[0], c * wc[1] + d * ws[1])
-
-    s_start = param_at(_boundary_point(form, level, sector.start))
-    s_end = param_at(_boundary_point(form, level, sector.end))
-    return [point_at(s_start + (s_end - s_start) * j / (n_samples - 1))
-            for j in range(n_samples)]
-
-
-def _sample_line(form, level, sector, anchor, n_samples):
-    evals, evecs = _principal_frame(form)
-    # the level line runs along the (near-)null eigendirection
-    i0 = 0 if abs(evals[0]) <= abs(evals[1]) else 1
-    w0 = (float(evecs[0, i0]), float(evecs[1, i0]))
-
-    def boundary_param(ray: Ray) -> float:
-        d = normalize(ray.direction)
-        denom = w0[0] * d[1] - w0[1] * d[0]
-        if abs(denom) < 1e-300:
-            raise DegenerateError("line is parallel to the boundary ray")
-        t = (d[0] * anchor[1] - d[1] * anchor[0]) / denom
-        p = (anchor[0] + t * w0[0], anchor[1] + t * w0[1])
-        if p[0] * d[0] + p[1] * d[1] <= 0.0:
-            raise DegenerateError("line meets the ray on the wrong side")
-        return t
-
-    t_start = boundary_param(sector.start)
-    t_end = boundary_param(sector.end)
-    out = []
-    for j in range(n_samples):
-        t = t_start + (t_end - t_start) * j / (n_samples - 1)
-        out.append((anchor[0] + t * w0[0], anchor[1] + t * w0[1]))
-    return out
+        w = 1.0
+        phase = cross / abs(level)
+        cos, sin = (lambda _: 1.0), (lambda x: x)
+    if not 0.0 < phase < math.inf:
+        raise DegenerateError("the level set does not run counter-clockwise "
+                              "from the start ray to the end ray")
+    kx = -sign * (B * x0 + C * y0) / w
+    ky = sign * (A * x0 + B * y0) / w
+    last = n_samples - 1
+    phases = [phase * j / last for j in range(last)] + [phase]
+    # phase <= asinh(float max), where cosh and sinh are still finite
+    samples = [(c * x0 + s * kx, c * y0 + s * ky)
+               for c, s in zip(map(cos, phases), map(sin, phases))]
+    end = samples[-1]
+    if not math.hypot(end[0] - x1, end[1] - y1) <= 1e-9 * math.hypot(x1, y1):
+        raise DegenerateError("the level set leaves the sector between "
+                              "its boundary rays")
+    samples[-1] = p1
+    return samples

@@ -1,6 +1,7 @@
 """Scalar per-step loops kept as test oracles.
 
 Each is the straightforward loop that a faster path in ``pwlin``
+replaced, or, for conic arcs, the per-class samplers that the area flow
 replaced; the tests compare the library against them.
 """
 import math
@@ -8,10 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from pwlin.circle import TWO_PI, angle_of, rotation_number, snap_rational
+from pwlin.circle import (TWO_PI, angle_of, normalize, rotation_number,
+                          snap_rational)
 from pwlin import output
-from pwlin.core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, inverse_step,
-                        iterate, step)
+from pwlin.conics import ConicClass, _boundary_point
+from pwlin.core import (MINUS, OVERFLOW_LIMIT, PLUS, Mat2, Point,
+                        inverse_step, iterate, step)
 from pwlin.errors import DegenerateError, NoReturnError, OrbitOverflowError
 from pwlin.returnmap import OrbitRelation, Ray
 
@@ -363,3 +366,114 @@ def builder_snap(params, steps, q_max=64):
     """The periodic-suspect decision ``build_invariant_circle`` took from
     the full walk alone: the snap of the ``steps``-step estimate."""
     return snap_rational(rotation_number(params, (1.0, 0.0), steps), q_max)
+
+
+def sample_arc(form, level, sector, anchor, n_samples, cls):
+    """The samples :func:`pwlin.arc_in_sector` took per conic class
+    before the area flow: by angle in the Gram matrix's eigenframe for
+    an ellipse, by the hyperbolic parameter on the anchored branch for a
+    hyperbola, affinely along the null eigendirection for parallel
+    lines."""
+    if cls is ConicClass.ELLIPSE:
+        return sample_ellipse(form, level, sector, n_samples)
+    if cls is ConicClass.PARALLEL_LINES:
+        return sample_line(form, level, sector, anchor, n_samples)
+    return sample_hyperbola(form, level, sector, anchor, n_samples)
+
+
+def principal_frame(form):
+    """Orthonormal eigenframe (columns) of the Gram matrix with det +1
+    and eigenvalues sorted ascending."""
+    gram = np.array([[form.A, form.B], [form.B, form.C]])
+    evals, evecs = np.linalg.eigh(gram)
+    if np.linalg.det(evecs) < 0:
+        evecs = evecs.copy()
+        evecs[:, 1] = -evecs[:, 1]
+    return evals, evecs
+
+
+def sample_ellipse(form, level, sector, n_samples):
+    evals, evecs = principal_frame(form)
+    e1, e2 = float(evals[0]), float(evals[1])
+    w1 = (float(evecs[0, 0]), float(evecs[1, 0]))
+    w2 = (float(evecs[0, 1]), float(evecs[1, 1]))
+    if level / e1 <= 0.0 or level / e2 <= 0.0:
+        raise DegenerateError("empty elliptic level set")
+    r1 = math.sqrt(level / e1)
+    r2 = math.sqrt(level / e2)
+
+    def param_at(p: Point) -> float:
+        c1 = (p[0] * w1[0] + p[1] * w1[1]) / r1
+        c2 = (p[0] * w2[0] + p[1] * w2[1]) / r2
+        return math.atan2(c2, c1)
+
+    def point_at(t: float) -> Point:
+        c1 = r1 * math.cos(t)
+        c2 = r2 * math.sin(t)
+        return (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
+
+    t_start = param_at(_boundary_point(form, level, sector.start))
+    t_end = param_at(_boundary_point(form, level, sector.end))
+    # det(frame) = +1, so the plane angle increases with t and the CCW
+    # arc from the start ray is the interval [t_start, t_start + dt]
+    dt = math.fmod(t_end - t_start, TWO_PI)
+    if dt < 0.0:
+        dt += TWO_PI
+    return [point_at(t_start + dt * j / (n_samples - 1))
+            for j in range(n_samples)]
+
+
+def sample_hyperbola(form, level, sector, anchor, n_samples):
+    evals, evecs = principal_frame(form)
+    e_min, e_max = float(evals[0]), float(evals[1])
+    w_min = (float(evecs[0, 0]), float(evecs[1, 0]))
+    w_max = (float(evecs[0, 1]), float(evecs[1, 1]))
+    # cosh-axis: the eigenvector whose eigenvalue has the sign of level
+    if level > 0.0:
+        ec, es = e_max, e_min
+        wc, ws = w_max, w_min
+    else:
+        ec, es = e_min, e_max
+        wc, ws = w_min, w_max
+    rc = math.sqrt(level / ec)
+    rs = math.sqrt(-level / es)
+    branch = 1.0 if (anchor[0] * wc[0] + anchor[1] * wc[1]) >= 0.0 else -1.0
+
+    def param_at(p: Point) -> float:
+        return math.asinh((p[0] * ws[0] + p[1] * ws[1]) / rs)
+
+    def point_at(s: float) -> Point:
+        c = branch * rc * math.cosh(s)
+        d = rs * math.sinh(s)
+        return (c * wc[0] + d * ws[0], c * wc[1] + d * ws[1])
+
+    s_start = param_at(_boundary_point(form, level, sector.start))
+    s_end = param_at(_boundary_point(form, level, sector.end))
+    return [point_at(s_start + (s_end - s_start) * j / (n_samples - 1))
+            for j in range(n_samples)]
+
+
+def sample_line(form, level, sector, anchor, n_samples):
+    evals, evecs = principal_frame(form)
+    # the level line runs along the (near-)null eigendirection
+    i0 = 0 if abs(evals[0]) <= abs(evals[1]) else 1
+    w0 = (float(evecs[0, i0]), float(evecs[1, i0]))
+
+    def boundary_param(ray: Ray) -> float:
+        d = normalize(ray.direction)
+        denom = w0[0] * d[1] - w0[1] * d[0]
+        if abs(denom) < 1e-300:
+            raise DegenerateError("line is parallel to the boundary ray")
+        t = (d[0] * anchor[1] - d[1] * anchor[0]) / denom
+        p = (anchor[0] + t * w0[0], anchor[1] + t * w0[1])
+        if p[0] * d[0] + p[1] * d[1] <= 0.0:
+            raise DegenerateError("line meets the ray on the wrong side")
+        return t
+
+    t_start = boundary_param(sector.start)
+    t_end = boundary_param(sector.end)
+    out = []
+    for j in range(n_samples):
+        t = t_start + (t_end - t_start) * j / (n_samples - 1)
+        out.append((anchor[0] + t * w0[0], anchor[1] + t * w0[1]))
+    return out

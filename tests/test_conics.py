@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from pwlin import (
     ConicClass,
     FamilyId,
@@ -19,8 +22,9 @@ from pwlin import (
     word_matrix,
 )
 from pwlin.circle import angle_of
-from pwlin.conics import conic_class_of_trace
-from pwlin.errors import AsymptoteInSectorError, DegenerateMatrixError
+from pwlin.conics import _boundary_point, conic_class_of_trace, null_directions
+from pwlin.errors import (AsymptoteInSectorError, DegenerateError,
+                          DegenerateMatrixError, PwlinError)
 from pwlin.families import alpha0, piece_matrices, reference_sector
 
 from conftest import A_SPECIAL, B_SPECIAL, C_SPECIAL
@@ -266,3 +270,124 @@ def test_line_arc_samples():
     cross = (p1[0] - p0[0]) * (pn[1] - p0[1]) - (p1[1] - p0[1]) * (pn[0] - p0[0])
     assert abs(cross) <= 1e-9
     assert arc.max_level_residual() <= 1e-9
+
+
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _det_one(a, b, trace):
+    return Mat2(a, b, (a * (trace - a) - 1.0) / b, trace - a)
+
+
+_SIDE = st.floats(0.3, 2.0) | st.floats(-2.0, -0.3)
+
+# elliptic, hyperbolic and parabolic traces, and family B's pieces at
+# the ellipse-hyperbola threshold
+_UNIMODULAR = st.one_of(
+    st.builds(_det_one, _SIDE, _SIDE, st.floats(-1.9, 1.9)),
+    st.builds(_det_one, _SIDE, _SIDE,
+              st.floats(2.1, 6.0) | st.floats(-6.0, -2.1)),
+    st.builds(_det_one, _SIDE, _SIDE, st.sampled_from([2.0, -2.0])),
+    st.sampled_from(piece_matrices(FamilyId.EX_B, alpha0())),
+)
+
+
+def _cone(form, k):
+    """The k-th angular interval (lo, hi) free of null directions: a
+    whole turn for an ellipse, else a gap between adjacent null lines,
+    or its opposite."""
+    cls = form.conic_class()
+    if cls is ConicClass.ELLIPSE:
+        lo = k * math.pi / 2
+        return lo, lo + 2 * math.pi
+    if cls is ConicClass.PARALLEL_LINES:
+        A, B, C = form.A, form.B, form.C
+        nulls = [(-B, A) if abs(A) >= abs(C) else (C, -B)]
+    else:
+        nulls = null_directions(form)
+    angles = sorted(angle_of(d) % math.pi for d in nulls)
+    gaps = list(zip(angles, angles[1:] + [angles[0] + math.pi]))
+    lo, hi = gaps[k % len(gaps)]
+    turn = math.pi * (k // len(gaps) % 2)
+    return lo + turn, hi + turn
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_UNIMODULAR, st.integers(0, 3), st.floats(0.02, 0.9),
+       st.floats(0.05, 0.95), st.floats(0.01, 0.95), st.floats(0.2, 3.0),
+       st.integers(2, 600))
+def test_flow_samples_match_the_eigenframe_samplers(m, k, f_start, f_end,
+                                                    f_anchor, r, n):
+    form = invariant_form(m)
+    lo, hi = _cone(form, k)
+    start = lo + (hi - lo) * f_start
+    end = start + (hi - start) * f_end
+    sector = Sector(Ray.at_angle(start), Ray.at_angle(end))
+    phi = start + (end - start) * f_anchor
+    anchor = (r * math.cos(phi), r * math.sin(phi))
+    level = form(anchor)
+    arc = arc_in_sector(form, level, sector, anchor, n)
+    old = oracles.sample_arc(form, level, sector, anchor, n, arc.conic_class)
+    for p, q in zip(arc.samples, old, strict=True):
+        assert math.hypot(p[0] - q[0], p[1] - q[1]) <= 1e-9 * math.hypot(*q)
+    assert arc.samples[0] == _boundary_point(form, level, sector.start)
+    assert arc.samples[-1] == _boundary_point(form, level, sector.end)
+    areas = [_cross(p, q) for p, q in zip(arc.samples, arc.samples[1:])]
+    assert max(areas) - min(areas) <= 1e-9 * max(map(abs, areas))
+
+
+def _level_point(form, degrees):
+    return _boundary_point(form, 1.0, Ray.at_angle(math.radians(degrees)))
+
+
+def _sector_deg(start, end):
+    return Sector(Ray.at_angle(math.radians(start)),
+                  Ray.at_angle(math.radians(end)))
+
+
+def test_flow_running_clockwise_to_the_end_ray_is_degenerate():
+    # a hyperbola inside the discriminant tolerance, labelled an ellipse
+    # by its trace: the flow along the branch x ~ 1 leaves the 80 degree
+    # ray towards 90 degrees and never reaches the 280 degree ray, whose
+    # level point lies behind it
+    form = QuadraticForm(1.0, 0.0, -1e-10)
+    with pytest.raises(DegenerateError):
+        arc_in_sector(form, 1.0, _sector_deg(80, 280), _level_point(form, 83),
+                      n_samples=4, trace_class=ConicClass.ELLIPSE)
+
+
+def test_parallel_lines_across_their_null_direction_are_degenerate():
+    # the rays at 80 and 100 degrees meet the lines x = 1 and x = -1;
+    # that is no asymptote to report, the arc leaves the sector
+    form = QuadraticForm(1.0, 0.0, 0.0)
+    with pytest.raises(DegenerateError):
+        arc_in_sector(form, 1.0, _sector_deg(80, 100), _level_point(form, 83))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_FINITE, _FINITE, _FINITE, st.floats(-10.0, 10.0),
+       st.floats(1e-6, 2 * math.pi), st.floats(0.0, 1.0),
+       st.floats(1e-300, 1e300), st.none() | _FINITE, st.integers(2, 40),
+       st.sampled_from([None, *ConicClass]))
+def test_arcs_stay_in_their_sector_or_raise(A, B2, C, start, width, f, r,
+                                            level, n, trace_class):
+    # sectors at least 1e-6 wide, so that interior samples are apart
+    # from the boundary rays in floats
+    try:
+        form = QuadraticForm.normalized(A, B2, C)
+        sector = Sector(Ray.at_angle(start), Ray.at_angle(start + width))
+    except DegenerateError:
+        return
+    phi = start + f * width
+    anchor = (r * math.cos(phi), r * math.sin(phi))
+    if level is None:
+        level = form(anchor)
+    try:
+        arc = arc_in_sector(form, level, sector, anchor, n, trace_class)
+    except PwlinError:
+        return
+    assert all(sector.contains(p) for p in arc.samples[1:-1])

@@ -97,3 +97,22 @@ print(json.dumps([before] + call[:3]))
 """, tmp_path)
     assert got == [False, "scan", 0, True]
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 17
+
+
+def test_conic_arcs_never_load_numpy(tmp_path):
+    got = _python("""
+import math
+from pwlin import Mat2, Ray, Sector, arc_in_sector, invariant_form
+
+def arc(m, start, end, anchor):
+    form = invariant_form(m)
+    sector = Sector(Ray.at_angle(math.radians(start)),
+                    Ray.at_angle(math.radians(end)))
+    return arc_in_sector(form, form(anchor), sector, anchor).conic_class.value
+
+classes = [arc(Mat2(0.0, -1.0, 1.0, 0.0), 0, 90, (1.0, 0.0)),
+           arc(Mat2(2.0, 1.0, 1.0, 1.0), 40, 110, (0.0, 1.0)),
+           arc(Mat2(1.0, 1.0, 0.0, 1.0), 30, 150, (0.0, 1.0))]
+print(json.dumps(["numpy" in sys.modules, classes]))
+""", tmp_path)
+    assert got == [False, ["ellipse", "hyperbola", "parallel_lines"]]

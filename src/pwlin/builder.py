@@ -188,10 +188,11 @@ def _sector_arc(params, sector, anchor_point, rays, n_samples, budget):
 
 def _check_preserves(form, m, tol: float = 1e-8):
     """The commuting partner must preserve the same form."""
+    size = max(1.0, m.max_abs())
     for v in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.3), (-0.4, -0.9)):
         image = m.apply(v)
         scale = max(1.0, abs(form(v)))
-        if abs(form(image) - form(v)) > tol * scale * max(1.0, m.max_abs() ** 2):
+        if abs(form(image) - form(v)) > tol * scale * size * size:
             raise CommutationError(
                 "second piece does not preserve the invariant form")
 

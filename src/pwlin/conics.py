@@ -5,9 +5,12 @@ form Q(x, y) = c*x^2 + (d - a)*x*y - b*y^2, and every matrix commuting
 with M preserves the same form.  Its level sets are ellipses, hyperbolas
 or parallel line pairs according to |tr M| < 2, > 2, or = 2.
 
-Arcs of every class are sampled along the form's area flow
-p' = sign(level)*J*G*p (G the Gram matrix of Q, J the quarter turn),
-which keeps Q and sweeps area counter-clockwise at the rate |level| / 2.
+Everything here works with one matrix, the form's generator K = J*G
+(G the Gram matrix of Q, J the quarter turn), which is M - (tr M / 2)*I
+up to the form's scale.  Its flow p' = sign(level)*K*p keeps Q and
+sweeps area counter-clockwise at the rate |level| / 2, and draws the
+arcs of every class; its eigenlines are the null lines of Q, i.e. the
+asymptotes of the hyperbolas; and -4*det K is the discriminant.
 """
 from __future__ import annotations
 
@@ -37,8 +40,8 @@ class QuadraticForm:
 
     Normalization: max(|A|, |2B|, |C|) = 1 and the first nonzero entry
     of (A, 2B, C) is positive, so equal forms compare equal across code
-    paths.  ``disc`` is (2B)^2 - 4AC, proportional to tr(M)^2 - 4 for
-    the generating matrix.
+    paths.  ``disc`` is (2B)^2 - 4AC = -4*det K, proportional to
+    tr(M)^2 - 4 for the generating matrix; it saturates to inf.
     """
 
     A: float
@@ -58,9 +61,14 @@ class QuadraticForm:
                 break
         return cls(A / scale, 0.5 * (B2 / scale), C / scale)
 
+    def generator(self) -> Mat2:
+        """K = J*G = [[-B, -C], [A, B]]: K^2 = (disc / 4)*I, and the
+        flow p' = K p keeps Q."""
+        return Mat2(-self.B, -self.C, self.A, self.B)
+
     @property
     def disc(self) -> float:
-        return (2.0 * self.B) ** 2 - 4.0 * self.A * self.C
+        return -4.0 * self.generator().det()
 
     def __call__(self, p: Point) -> float:
         x, y = p
@@ -78,13 +86,15 @@ class QuadraticForm:
 def invariant_form(m: Mat2, tol: float = 1e-10) -> QuadraticForm:
     """The quadratic form preserved by a det-1 matrix, normalized.
 
-    Raises DegenerateMatrixError when m is +-I within tolerance (every
-    form is invariant then) and when det differs from 1 by more than
-    the tolerance.
+    Raises DegenerateMatrixError when an entry of m is not finite, when
+    m is +-I within tolerance (every form is invariant then) and when
+    det differs from 1 by more than the tolerance.
     """
-    if abs(m.det() - 1.0) > tol * max(1.0, m.max_abs() ** 2):
-        raise DegenerateMatrixError(f"determinant {m.det()!r} is not 1")
+    if not all(map(math.isfinite, (m.m11, m.m12, m.m21, m.m22))):
+        raise DegenerateMatrixError(f"matrix has a non-finite entry: {m}")
     scale = m.max_abs()
+    if abs(m.det() - 1.0) > tol * max(1.0, scale * scale):
+        raise DegenerateMatrixError(f"determinant {m.det()!r} is not 1")
     if scale == 0.0 or (
         m.dist(Mat2.identity()) <= tol * scale
         or m.dist(Mat2(-1.0, 0.0, 0.0, -1.0)) <= tol * scale
@@ -111,51 +121,24 @@ def level_through(form: QuadraticForm, p: Point) -> float:
 
 
 def null_directions(form: QuadraticForm) -> list[Point]:
-    """Unit directions with Q = 0 (one per line; empty when definite).
-
-    For the form of a hyperbolic matrix these are its eigendirections,
-    i.e. the asymptotes of the invariant hyperbolas.
-    """
-    A, B, C = form.A, form.B, form.C
-    disc = form.disc
-    if disc < 0.0:
-        return []
-    out: list[Point] = []
-    r = math.sqrt(disc)
-    if abs(A) >= abs(C):
-        if A == 0.0:
-            out.append((1.0, 0.0))
-            if B != 0.0:
-                out.append(normalize((-C, 2.0 * B)))
-        else:
-            for s in (1.0, -1.0):
-                t = (-2.0 * B + s * r) / (2.0 * A)
-                out.append(normalize((t, 1.0)))
-    else:
-        if C == 0.0:
-            out.append((0.0, 1.0))
-            if B != 0.0:
-                out.append(normalize((2.0 * B, -A)))
-        else:
-            for s in (1.0, -1.0):
-                t = (-2.0 * B + s * r) / (2.0 * C)
-                out.append(normalize((1.0, t)))
-    if len(out) == 2 and _line_distance(out[0], out[1]) < 1e-14:
-        out = out[:1]
-    return out
-
-
-def _line_distance(u: Point, v: Point) -> float:
-    return abs(u[0] * v[1] - u[1] * v[0])
+    """Unit directions with Q = 0 (one per line; empty when definite),
+    the eigenlines of the form's generator K.  For the form of a
+    hyperbolic matrix these are the asymptotes of its hyperbolas."""
+    return [ray.direction for ray in eigenrays(form.generator())]
 
 
 def eigenrays(m: Mat2) -> list[Ray]:
     """Real eigendirections of m, canonicalized to angles in [0, pi).
 
-    Empty when |trace| < 2 (complex spectrum) or when m is a multiple of
-    the identity; otherwise one ray per eigenline (each ray stands for
-    the +-direction pair).
+    The asymptote solver: the eigenlines of a hyperbolic return piece,
+    or of a form's generator K, are the asymptotes of the invariant
+    hyperbolas.  Empty when the spectrum is complex or m is a multiple
+    of the identity, else one ray per eigenline (for the +-pair).  m is
+    first scaled, exactly, by the power of two that puts its largest
+    entry in [0.5, 1), so that the discriminant cannot overflow.
     """
+    e = -math.frexp(m.max_abs())[1]
+    m = Mat2(*(math.ldexp(v, e) for v in (m.m11, m.m12, m.m21, m.m22)))
     tr = m.trace()
     disc = tr * tr - 4.0 * m.det()
     if disc < 0.0:
@@ -175,9 +158,10 @@ def eigenrays(m: Mat2) -> list[Ray]:
         if v[1] < 0.0 or (v[1] == 0.0 and v[0] < 0.0):
             v = (-v[0], -v[1])
         out.append(Ray(v))
-    if len(out) == 2 and _line_distance(
-            out[0].direction, out[1].direction) < 1e-14:
-        out = out[:1]
+    if len(out) == 2:
+        (ux, uy), (vx, vy) = out[0].direction, out[1].direction
+        if abs(ux * vy - uy * vx) < 1e-14:
+            out = out[:1]
     return out
 
 
@@ -271,9 +255,9 @@ def arc_in_sector(
 
 def _sample_arc(form: QuadraticForm, level: float, sector: Sector,
                 n_samples: int) -> list[Point]:
-    """Samples at equal time steps of the flow p' = K p, K = sign(level)*J*G.
+    """Samples at equal time steps of the flow p' = s K p, s = sign(level).
 
-    K^2 = (disc / 4)*I, so exp(tK) p0 = cos(wt) p0 + sin(wt) K p0 / w,
+    K^2 = (disc / 4)*I, so exp(tsK) p0 = cos(wt) p0 + sin(wt) sK p0 / w,
     with w = sqrt(|disc|) / 2, cosh and sinh in place of cos and sin when
     disc > 0, and w = 1, cos = 1, sin(x) = x when disc = 0.  The end
     phase w*t1 solves cross(p0, p1) = |level| sin(w*t1) / w and
@@ -283,13 +267,14 @@ def _sample_arc(form: QuadraticForm, level: float, sector: Sector,
     p0 = _boundary_point(form, level, sector.start)
     p1 = _boundary_point(form, level, sector.end)
     (x0, y0), (x1, y1) = p0, p1
-    A, B, C = form.A, form.B, form.C
+    k = form.generator()
     sign = 1.0 if level > 0.0 else -1.0
     cross = x0 * y1 - y0 * x1
     disc = form.disc
     w = 0.5 * math.sqrt(abs(disc))
     if disc < 0.0:
-        dot = x0 * (A * x1 + B * y1) + y0 * (B * x1 + C * y1)
+        kx1, ky1 = k.apply(p1)
+        dot = x0 * ky1 - y0 * kx1  # p0^T G p1 = cross(p0, K p1)
         phase = math.atan2(w * cross, sign * dot) % TWO_PI
         cos, sin = math.cos, math.sin
     elif disc > 0.0:
@@ -302,8 +287,7 @@ def _sample_arc(form: QuadraticForm, level: float, sector: Sector,
     if not 0.0 < phase < math.inf:
         raise DegenerateError("the level set does not run counter-clockwise "
                               "from the start ray to the end ray")
-    kx = -sign * (B * x0 + C * y0) / w
-    ky = sign * (A * x0 + B * y0) / w
+    kx, ky = (sign * v / w for v in k.apply(p0))
     last = n_samples - 1
     phases = [phase * j / last for j in range(last)] + [phase]
     # phase <= asinh(float max), where cosh and sinh are still finite

@@ -22,6 +22,7 @@ from pwlin import (
     word_matrix,
 )
 from pwlin.circle import angle_of
+from pwlin.builder import _check_preserves
 from pwlin.conics import _boundary_point, conic_class_of_trace, null_directions
 from pwlin.errors import (AsymptoteInSectorError, DegenerateError,
                           DegenerateMatrixError, PwlinError)
@@ -48,6 +49,40 @@ def test_invariant_form_rejects_identity():
         invariant_form(Mat2(-1.0, 0.0, 0.0, -1.0))
     with pytest.raises(DegenerateMatrixError):
         invariant_form(Mat2(2.0, 0.0, 0.0, 2.0))  # det 4
+
+
+def test_invariant_form_names_a_non_finite_entry():
+    # the step factor of slope 1e200 squared has an inf entry; its NaN
+    # determinant and inf scale would pass the det and identity tests
+    m = word_matrix(Params(1e200, -1.0), "++")
+    with pytest.raises(DegenerateMatrixError, match="non-finite entry"):
+        invariant_form(m)
+
+
+def test_invariant_form_of_a_steep_step_factor():
+    # entries past 1.34e154 overflow a float square; the tolerances
+    # saturate to inf instead
+    m = word_matrix(Params(1e200, -1.0), "+")
+    form = invariant_form(m)
+    assert (form.A, form.B, form.C) == (1e-200, -0.5, 1e-200)
+    _check_preserves(form, m)
+
+
+def test_disc_saturates_to_inf():
+    assert QuadraticForm(0.0, 6.7e153, 0.0).disc == 1.7956e308
+    assert QuadraticForm(0.0, 1e154, 0.0).disc == math.inf
+    assert QuadraticForm(1e200, 0.0, -1e200).disc == math.inf
+    assert QuadraticForm(1e200, 0.0, 1e200).disc == -math.inf
+
+
+def test_disc_is_minus_four_det_of_the_generator():
+    form = QuadraticForm.normalized(0.6, -0.8, 0.3)
+    k = form.generator()
+    assert (k.m11, k.m12, k.m21, k.m22) == (-form.B, -form.C, form.A, form.B)
+    assert k.trace() == 0.0
+    assert form.disc == (2.0 * form.B) ** 2 - 4.0 * form.A * form.C
+    quarter = form.disc / 4.0
+    assert (k @ k).dist(Mat2(quarter, 0.0, 0.0, quarter)) <= 1e-15
 
 
 def test_invariant_form_elliptic_special_point():
@@ -231,6 +266,17 @@ def test_eigenrays_rotation_empty():
     assert eigenrays(Mat2(c, -s, s, c)) == []
 
 
+def test_eigenrays_of_large_entries_are_finite():
+    rays = eigenrays(Mat2(1e200, 1.0, 1.0, -1e200))
+    assert [r.direction for r in rays] == [(1.0, 5e-201), (-5e-201, 1.0)]
+
+
+def test_null_lines_of_an_unnormalized_large_form():
+    lines = null_directions(QuadraticForm(0.0, 1e200, 0.0))
+    assert sorted((abs(x), abs(y)) for x, y in lines) == [(0.0, 1.0),
+                                                          (1.0, 0.0)]
+
+
 def test_eigenrays_divergent_family_inside_sector(params_c_special):
     from pwlin import return_map
 
@@ -390,4 +436,56 @@ def test_arcs_stay_in_their_sector_or_raise(A, B2, C, start, width, f, r,
         arc = arc_in_sector(form, level, sector, anchor, n, trace_class)
     except PwlinError:
         return
+    assert all(sector.contains(p) for p in arc.samples[1:-1])
+
+
+def _same_line(u, v, tol):
+    return abs(_cross(u, v)) <= tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_UNIMODULAR, st.integers(-60, 60))
+def test_null_lines_are_the_eigenlines_of_the_return_piece(m, e):
+    # the asymptotes of a hyperbolic piece's form are its eigenrays
+    form = invariant_form(m)
+    nulls = null_directions(form)
+    cls = conic_class_of_trace(m.trace())
+    if cls is ConicClass.ELLIPSE:
+        assert nulls == []
+    if cls is not ConicClass.HYPERBOLA:
+        return
+    rays = [r.direction for r in eigenrays(m)]
+    assert len(nulls) == len(rays) == 2
+    for d in nulls:
+        assert abs(math.hypot(*d) - 1.0) <= 1e-15
+        assert abs(form(d)) <= 1e-12
+    assert ((_same_line(nulls[0], rays[0], 1e-12)
+             and _same_line(nulls[1], rays[1], 1e-12))
+            or (_same_line(nulls[0], rays[1], 1e-12)
+                and _same_line(nulls[1], rays[0], 1e-12)))
+    # eigenrays scales by a power of two first, so any such scale of the
+    # input gives the same rays bit for bit
+    scaled = Mat2(*(math.ldexp(v, e) for v in (m.m11, m.m12, m.m21, m.m22)))
+    assert eigenrays(scaled) == eigenrays(m)
+
+
+_RAW = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_RAW, _RAW, _RAW, st.floats(-10.0, 10.0), st.floats(1e-6, 2 * math.pi),
+       st.floats(0.0, 1.0), st.floats(1e-3, 1e3), st.integers(2, 40),
+       st.sampled_from([None, *ConicClass]))
+def test_raw_forms_give_an_arc_or_a_typed_error(A, B, C, start, width, f, r,
+                                                n, trace_class):
+    # unnormalized coefficients whose squares overflow a float
+    form = QuadraticForm(A, B, C)
+    sector = Sector(Ray.at_angle(start), Ray.at_angle(start + width))
+    phi = start + f * width
+    anchor = (r * math.cos(phi), r * math.sin(phi))
+    try:
+        arc = arc_in_sector(form, form(anchor), sector, anchor, n, trace_class)
+    except PwlinError:
+        return
+    assert all(map(math.isfinite, (v for p in arc.samples for v in p)))
     assert all(sector.contains(p) for p in arc.samples[1:-1])

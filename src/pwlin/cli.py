@@ -14,14 +14,8 @@ import math
 import os
 import sys
 
-from .builder import _residual_walk, build_invariant_circle, circle_to_polyline
-from .circle import rotation_number, snap_rational
-from .core import Params
+from . import builder, circle, core, families, output, returnmap, scanner
 from .errors import ArgumentError, DomainError, PwlinError
-from .families import FamilyId, curve_find, verify_family
-from .output import PlotSpec, _write_svg, emit_orbit_csv, emit_scan_csv
-from .returnmap import Ray, Sector, commutator_residual, orbit_relation, return_map
-from .scanner import scan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +39,7 @@ def _precision_bits() -> int | None:
 
 
 @contextlib.contextmanager
-def _mp_scope(params: Params, point):
+def _mp_scope(params: core.Params, point):
     """Yield the inputs, as mpmath floats at PWLIN_PRECISION bits if set.
 
     The precision is scoped to the with block (``mpmath.workprec``), so
@@ -60,7 +54,7 @@ def _mp_scope(params: Params, point):
 
     with mpmath.workprec(bits):
         mpf = mpmath.mpf
-        yield (Params(mpf(params.a), mpf(params.b)),
+        yield (core.Params(mpf(params.a), mpf(params.b)),
                (mpf(point[0]), mpf(point[1])))
 
 
@@ -69,8 +63,8 @@ def _cmd_orbit(ns) -> int:
         raise PwlinError(f"-n must be at least 0, got {ns.n}")
     if not (math.isfinite(ns.x) and math.isfinite(ns.y)):
         raise DomainError(f"start must be finite, got x={ns.x!r}, y={ns.y!r}")
-    with _mp_scope(Params(ns.a, ns.b), (ns.x, ns.y)) as (params, start):
-        emit_orbit_csv(params, start, ns.n, ns.out)
+    with _mp_scope(core.Params(ns.a, ns.b), (ns.x, ns.y)) as (params, start):
+        output.emit_orbit_csv(params, start, ns.n, ns.out)
         print(f"wrote {ns.out}")
     return 0
 
@@ -78,9 +72,9 @@ def _cmd_orbit(ns) -> int:
 def _cmd_rotation(ns) -> int:
     if ns.q_max < 1:  # refused before the walk, as snap_rational would
         raise ArgumentError("q_max must be >= 1")
-    with _mp_scope(Params(ns.a, ns.b), (1.0, 0.0)) as (params, u0):
-        est = rotation_number(params, u0, ns.N)
-        snap = snap_rational(est, ns.q_max)
+    with _mp_scope(core.Params(ns.a, ns.b), (1.0, 0.0)) as (params, u0):
+        est = circle.rotation_number(params, u0, ns.N)
+        snap = circle.snap_rational(est, ns.q_max)
         print(f"rotation value: {est.value!r}")
         print(f"error bound:    {est.error_bound!r}")
         print(f"snap:           {snap if snap is not None else 'none'}")
@@ -91,10 +85,11 @@ def _cmd_return_map(ns) -> int:
     for name, deg in (("--start-deg", ns.start_deg), ("--end-deg", ns.end_deg)):
         if not math.isfinite(deg):
             raise ArgumentError(f"{name} must be finite, got {deg}")
-    params = Params(ns.a, ns.b)
-    sector = Sector(Ray.at_angle(math.radians(ns.start_deg)),
-                    Ray.at_angle(math.radians(ns.end_deg)))
-    rmap = return_map(params, sector, budget=ns.budget)
+    params = core.Params(ns.a, ns.b)
+    ray = returnmap.Ray.at_angle
+    sector = returnmap.Sector(ray(math.radians(ns.start_deg)),
+                              ray(math.radians(ns.end_deg)))
+    rmap = returnmap.return_map(params, sector, budget=ns.budget)
     print(f"sector [{ns.start_deg} deg, {ns.end_deg} deg): "
           f"{len(rmap.pieces)} linear piece(s)")
     for i, piece in enumerate(rmap.pieces):
@@ -102,8 +97,8 @@ def _cmd_return_map(ns) -> int:
         print(f"piece {i}: word {piece.word} steps {piece.steps}")
         print(f"  matrix [[{m.m11!r}, {m.m12!r}], [{m.m21!r}, {m.m22!r}]]")
     if len(rmap.pieces) == 2:
-        resid = commutator_residual(rmap.pieces[0].matrix,
-                                    rmap.pieces[1].matrix)
+        resid = returnmap.commutator_residual(rmap.pieces[0].matrix,
+                                              rmap.pieces[1].matrix)
         print(f"commutator residual: {resid!r}")
     return 0
 
@@ -111,46 +106,47 @@ def _cmd_return_map(ns) -> int:
 def _cmd_circle(ns) -> int:
     if ns.orbit_len < 1:  # a residual over no orbit points proves nothing
         raise PwlinError(f"--orbit-len must be at least 1, got {ns.orbit_len}")
-    params = Params(ns.a, ns.b)
-    relation = orbit_relation(params, max_iter=ns.max_iter)
+    params = core.Params(ns.a, ns.b)
+    relation = returnmap.orbit_relation(params, max_iter=ns.max_iter)
     if relation is None or relation.lam >= 0:
         raise PwlinError(
             "no orbit relation from (0,1) to (0,-1) found; this parameter "
             "pair is outside the certified-circle families")
-    circle = build_invariant_circle(params, relation, n_samples=ns.samples)
+    inv = builder.build_invariant_circle(params, relation,
+                                         n_samples=ns.samples)
     plot_n = min(ns.orbit_len, 20000)
     # one walk gives the residual report and the plotted orbit prefix
-    max_res, _, (xs, ys) = _residual_walk(circle, ns.orbit_len, (0.0, 1.0),
-                                          plot_n)
-    poly = circle_to_polyline(circle)
+    max_res, _, (xs, ys) = builder._residual_walk(inv, ns.orbit_len,
+                                                  (0.0, 1.0), plot_n)
+    poly = builder.circle_to_polyline(inv)
     svg_path = ns.svg or "circle.svg"
     json_path = ns.json or "circle.json"
-    _write_svg(PlotSpec(params, (0.0, 1.0), plot_n, svg_path, overlay=poly),
-               xs, ys)
+    output._write_svg(output.PlotSpec(params, (0.0, 1.0), plot_n, svg_path,
+                                      overlay=poly), xs, ys)
     payload = {
         "schema_version": "v1",
         "a": params.a,
         "b": params.b,
-        "relation_n": circle.n,
-        "arc_count": circle.sector_count,
-        "conic_class": circle.conic_class.value,
-        "max_gap": circle.max_gap,
-        "build_residual": circle.max_residual,
+        "relation_n": inv.n,
+        "arc_count": inv.sector_count,
+        "conic_class": inv.conic_class.value,
+        "max_gap": inv.max_gap,
+        "build_residual": inv.max_residual,
         "orbit_residual": max_res,
-        "levels": [arc.level for arc in circle.arcs],
+        "levels": [arc.level for arc in inv.arcs],
     }
     with open(json_path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{circle.sector_count} {circle.conic_class.value} arcs; "
+    print(f"{inv.sector_count} {inv.conic_class.value} arcs; "
           f"orbit residual {max_res:.3e}")
     print(f"wrote {svg_path} and {json_path}")
     return 0
 
 
 def _cmd_verify_example(ns) -> int:
-    family = FamilyId(ns.family)
-    report = verify_family(family, ns.a, winding_steps=ns.steps)
+    family = families.FamilyId(ns.family)
+    report = families.verify_family(family, ns.a, winding_steps=ns.steps)
     print(f"family {report.family}  a={report.a!r}  b={report.b!r}")
     print(f"relation index: {report.relation_index}")
     print(f"regime: {report.regime}")
@@ -173,7 +169,7 @@ def _cmd_verify_example(ns) -> int:
 
 
 def _cmd_scan(ns) -> int:
-    records = scan((ns.a_min, ns.a_max), (ns.b_min, ns.b_max),
+    records = scanner.scan((ns.a_min, ns.a_max), (ns.b_min, ns.b_max),
                    ns.resolution, ns.budget, half_plane=ns.half_plane)
     if ns.out.endswith(".json"):
         with open(ns.out, "w", newline="") as fh:
@@ -182,7 +178,7 @@ def _cmd_scan(ns) -> int:
                       indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        emit_scan_csv(records, ns.out)
+        output.emit_scan_csv(records, ns.out)
     print(f"wrote {ns.out} ({len(records)} records)")
     return 0
 
@@ -213,8 +209,8 @@ def _slice_function(text: str):
 
 def _cmd_trace_curve(ns) -> int:
     slice_fn = _slice_function(ns.slice)
-    root = curve_find(ns.k, slice_fn, (ns.bracket[0], ns.bracket[1]),
-                      tol=ns.tol)
+    root = families.curve_find(ns.k, slice_fn,
+                               (ns.bracket[0], ns.bracket[1]), tol=ns.tol)
     a, b = slice_fn(root)
     print(f"slice parameter: {root!r}")
     print(f"(a, b) = ({a!r}, {b!r})")

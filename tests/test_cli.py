@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import pwlin
 from pwlin import (Params, PlotSpec, build_invariant_circle,
                    circle_to_polyline, emit_svg, orbit_relation)
 import pwlin.cli as cli_mod
@@ -263,8 +264,8 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
 
 def test_rotation_q_max_checked_before_the_walk(monkeypatch, capsys):
     calls = []
-    real = cli_mod.rotation_number
-    monkeypatch.setattr(cli_mod, "rotation_number",
+    real = pwlin.circle.rotation_number
+    monkeypatch.setattr(pwlin.circle, "rotation_number",
                         lambda *args: calls.append(args) or real(*args))
     assert cli(["rotation", "-a", "1.2", "-b", "-1.3", "-N", "3000000",
                 "--q-max", "0"]) == 1

@@ -1,5 +1,6 @@
-"""Import footprint: numpy is loaded only by the commands that compute
-arrays.  Each check runs in a fresh interpreter, since this process has
+"""Import footprint: each pwlin layer module runs on first use, and
+numpy is loaded only by the commands that compute arrays.  Each check
+runs in a fresh interpreter, since this process has every layer run and
 numpy loaded already."""
 import json
 import os
@@ -17,8 +18,16 @@ MODULES = ["pwlin", "pwlin.builder", "pwlin.circle", "pwlin.cli",
 A = "1.189207115002721"
 
 _RUN = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, sys, types
 import pwlin, pwlin.cli
+
+LAYERS = ["builder", "circle", "conics", "core", "families", "output",
+          "returnmap", "scanner"]
+
+def ran():
+    # a registered layer is a lazy module subclass until its first use
+    return [k for k in LAYERS if type(sys.modules["pwlin." + k])
+            is types.ModuleType]
 
 def run(argv, precision=None):
     if precision is None:
@@ -27,7 +36,7 @@ def run(argv, precision=None):
         os.environ["PWLIN_PRECISION"] = precision
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = pwlin.cli.cli(argv)
-    return [argv[0], rc, "numpy" in sys.modules, out.getvalue()]
+    return [argv[0], rc, "numpy" in sys.modules, out.getvalue(), ran()]
 """
 
 
@@ -41,10 +50,82 @@ def _python(code, cwd):
 
 def test_importing_the_cli_loads_every_module_and_no_numpy(tmp_path):
     # perfbench/tracer.py looks each traced layer up in sys.modules when
-    # it installs, so importing the CLI must load every pwlin module
-    got = _python("print(json.dumps(['numpy' in sys.modules, sorted(m for m "
-                  "in sys.modules if m.split('.')[0] == 'pwlin')]))", tmp_path)
-    assert got == [False, MODULES]
+    # it installs, so importing the CLI must register every pwlin module;
+    # no layer runs until its first use
+    got = _python("""
+print(json.dumps(['numpy' in sys.modules, sorted(m for m in sys.modules
+                                                 if m.split('.')[0] == 'pwlin'),
+                  ran(), [m for m in ('fractions', 'dataclasses')
+                          if m in sys.modules]]))
+""", tmp_path)
+    assert got == [False, MODULES, [], []]
+
+
+def test_commands_run_only_the_layers_they_use(tmp_path):
+    got = _python(f"""
+calls = [
+    run(["--help"]),
+    run(["orbit", "-a", "{A}", "-b", "-{A}", "-x", "0", "-y", "1",
+         "-n", "50", "--out", "m.csv"], "113"),
+    run(["rotation", "-a", "{A}", "-b", "-{A}", "-N", "200"], "113"),
+]
+print(json.dumps(calls))
+""", tmp_path)
+    assert [(c[0], c[1], c[4]) for c in got] == [
+        ("--help", 0, []),
+        ("orbit", 0, ["core", "output"]),
+        ("rotation", 0, ["circle", "core", "output"])]
+    assert got[0][3].startswith("usage: pwlin")
+
+
+def test_public_names_resolve_to_their_layer_objects(tmp_path):
+    got = _python("""
+before = ran()
+homes = {}
+for name in pwlin.__all__:
+    obj = getattr(pwlin, name)
+    if name == "errors":
+        homes[name] = obj is sys.modules["pwlin.errors"]
+    else:
+        home = sys.modules[obj.__module__]
+        homes[name] = [obj.__module__, getattr(home, name) is obj]
+try:
+    pwlin.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([before, homes, sorted(set(pwlin.__all__) - set(dir(pwlin))),
+                  unknown, ran()]))
+""", tmp_path)
+    before, homes, undir, unknown, after = got
+    assert before == []
+    assert homes.pop("errors") is True
+    assert homes and all(ok and mod.startswith("pwlin.")
+                         for mod, ok in homes.values())
+    assert undir == []
+    assert unknown == "module 'pwlin' has no attribute 'no_such_name'"
+    assert after == ["builder", "circle", "conics", "core", "families",
+                     "output", "returnmap", "scanner"]
+
+
+def test_a_rebound_layer_function_is_the_one_the_cli_calls(tmp_path):
+    # perfbench/tracer.py wraps a layer function by rebinding it on its
+    # module; the CLI must look it up there at call time
+    got = _python("""
+scanner = sys.modules["pwlin.scanner"]
+real = getattr(scanner, "scan")
+seen = []
+
+def traced(*args, **kwargs):
+    seen.append(args)
+    return real(*args, **kwargs)
+
+setattr(scanner, "scan", traced)
+call = run(["scan", "--a-min", "-2", "--a-max", "2", "--b-min", "-2",
+            "--b-max", "2", "--resolution", "2", "--out", "s.csv"])
+print(json.dumps([call[1], seen]))
+""", tmp_path)
+    assert got == [0, [[[-2.0, 2.0], [-2.0, 2.0], 2, 10000]]]
 
 
 def test_scalar_and_extended_precision_commands_never_load_numpy(tmp_path):

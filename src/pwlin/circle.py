@@ -101,15 +101,15 @@ def rotation_number(params: Params, u0: Point, steps: int) -> RotationEstimate:
     """Average angular advance of the circle map over ``steps`` iterates.
 
     Non-finite slopes raise :class:`~pwlin.errors.DomainError`.  Float
-    inputs are walked by :func:`~pwlin.core.walk_rescaled`, in chunks
+    inputs are walked as :func:`~pwlin.core.walk_rescaled` walks, in chunks
     bounded by :func:`rescale_chunk` (one step each for slopes it
-    rejects as too steep); each point's angle is ``math.atan2``, and the
-    unwrapped increments are summed in numpy in the order of a per-step
-    loop.  Power-of-two scaling is exact and ``math.atan2`` is
-    scale-invariant, so the result is that loop's bit for bit wherever
-    its orbit stays clear of overflow and of the subnormal range, and
-    keeps the bits the loop loses elsewhere (a subnormal or huge start,
-    slopes of magnitude ``2**399`` and beyond).
+    rejects as too steep); one loop steps each chunk, takes each point's
+    ``math.atan2`` and adds the unwrapped increments in the order of a
+    plain per-step loop.  Power-of-two scaling is exact and
+    ``math.atan2`` is scale-invariant, so the result is that plain
+    loop's bit for bit wherever its orbit stays clear of overflow and of
+    the subnormal range, and keeps the bits it loses elsewhere (a
+    subnormal or huge start, slopes of magnitude ``2**399`` and beyond).
 
     Other inputs (mpmath floats, ``Fraction``) use the winding identity
     of :func:`winding_value` instead of an angle per step.  They are
@@ -170,22 +170,50 @@ def winding_value(turns: int, start: Point, end: Point, steps: int, mm=math):
     return (turns + delta / (2 * mm.pi)) / steps
 
 
-#: Steps per block of the rotation walks; bounds their memory.
+#: Steps per block of the rotation walks: bounds the chain a non-float
+#: walk holds per block, and the float walks' chunks between rescales.
 ROTATION_BLOCK = 4096
-_HALF_PI = 0.5 * math.pi
-_THREE_HALF_PI = 1.5 * math.pi
 
 
 def _rotation_float(params: Params, x: float, y: float, steps: int) -> RotationEstimate:
+    # walk_rescaled's chunks and rescales, with each step's angle taken,
+    # unwrapped and added in turn; a pass takes two steps, the first
+    # leaving the point as (y, x) and the second as (x, y)
     a, b = params.a, params.b
     chunk = rescale_chunk((a, b), ROTATION_BLOCK) or 1
-    prev, total, angles = math.atan2(y, x), 0.0, []
-    for _, chain, _ in walk_rescaled(a, b, x, y, steps, chunk, chunk):
-        angles += map(math.atan2, chain[1:-1], chain[2:])
-        if len(angles) >= ROTATION_BLOCK:
-            total = _sum_turns(angles, prev, total)
-            prev, angles = angles[-1], []
-    total = _sum_turns(angles, prev, total)
+    atan2, two_pi, lo, hi = math.atan2, TWO_PI, -0.5 * math.pi, 1.5 * math.pi
+    prev, total = atan2(y, x), 0.0
+    for done in range(0, steps, chunk):
+        m = min(chunk, steps - done)
+        e = math.frexp(max(abs(x), abs(y)))[1]
+        x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+        for _ in range(m >> 1):
+            y = a * x - y if x >= 0.0 else b * x - y
+            t = atan2(x, y)
+            d = t - prev
+            if d < lo:
+                d += two_pi
+            elif d >= hi:
+                d -= two_pi
+            total += d / two_pi
+            x = a * y - x if y >= 0.0 else b * y - x
+            prev = atan2(y, x)
+            d = prev - t
+            if d < lo:
+                d += two_pi
+            elif d >= hi:
+                d -= two_pi
+            total += d / two_pi
+        if m & 1:
+            x, y = (a * x - y if x >= 0.0 else b * x - y), x
+            t = atan2(y, x)
+            d = t - prev
+            if d < lo:
+                d += two_pi
+            elif d >= hi:
+                d -= two_pi
+            total += d / two_pi
+            prev = t
     return RotationEstimate(total / steps, steps, 1.0 / steps)
 
 
@@ -206,8 +234,9 @@ def rotation_brackets(params: Params, steps: int):
     rho >= (W - [y_n < 0]) / n and rho <= (W + [y_n > 0 or (y_n = 0
     and x_n < 0)]) / n.
 
-    The orbit is walked as :func:`rotation_number` walks float inputs,
-    in :func:`~pwlin.core.walk_rescaled` chunks, which leaves every sign
+    The orbit is walked in :func:`~pwlin.core.walk_rescaled` chunks on
+    the chunk schedule and exact power-of-two rescales of the float
+    :func:`rotation_number`, which leave every sign and every ``atan2``
     as it was.  After each chunk this yields ``(n, lower, upper)``: n
     the steps walked, ``lower`` the largest and ``upper`` the smallest
     of the bounds over steps 1..n, both :class:`Fraction`.  On floats it
@@ -246,21 +275,6 @@ def rotation_brackets(params: Params, steps: int):
         upper = cand if upper is None else min(upper, cand)
         turns = int(wound[-1])
         yield done + m, lower, upper
-
-
-def _sum_turns(angles: list[float], prev: float, total: float) -> float:
-    """``total`` plus the lift increments along ``angles`` in turns, as
-    the per-step loop adds them: each difference unwrapped to
-    [-pi/2, 3*pi/2), divided by 2*pi, and summed left to right."""
-    import numpy as np
-
-    d = np.diff(np.array(angles), prepend=prev)
-    d = np.where(d < -_HALF_PI, d + TWO_PI,
-                 np.where(d >= _THREE_HALF_PI, d - TWO_PI, d))
-    acc = np.empty(len(angles) + 1)
-    acc[0] = total  # carried in first, so the summation order is the loop's
-    np.divide(d, TWO_PI, out=acc[1:])
-    return float(np.add.accumulate(acc, out=acc)[-1])
 
 
 def convergents(x: float, q_max: int):

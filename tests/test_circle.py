@@ -276,6 +276,29 @@ def test_rotation_special_points_bit_identical(a, start):
     assert est.value == _reference_rotation_float(a, -a, *start, 200_000)
 
 
+# (a, b, chunk): odd and even chunks on curves A and B, and slopes that
+# rescale_chunk rejects, walked in one-step chunks
+_FUSED_CHUNKS = [(1.2, family_b(FamilyId.EX_A, 1.2), 331),
+                 (0.5, family_b(FamilyId.EX_B, 0.5), 400),
+                 (2.0 ** 399, -0.5, 1), (-0.5, -2.0 ** 399, 1),
+                 (2.0 ** 399, 1.0, 1)]
+
+
+@pytest.mark.parametrize("a, b, chunk", _FUSED_CHUNKS)
+@pytest.mark.parametrize("start", [(1.0, 0.0), (-0.3, 0.8), (0.6, -0.9),
+                                   (-1.1, -0.2), (0.05, 1.3), (2.0, 0.7)])
+def test_rotation_float_two_step_loop_at_chunk_seams(a, b, chunk, start):
+    # the float walk steps two at a time with an odd-step tail: step
+    # counts of either parity at and around the chunk seams take the
+    # pair loop and the tail in every order, bit for bit
+    assert (rescale_chunk((a, b), ROTATION_BLOCK) or 1) == chunk
+    seams = {1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1} - {0}
+    for steps in sorted(seams):
+        got = rotation_number(Params(a, b), start, steps).value
+        want = _reference_rotation_float(a, b, *start, steps)
+        assert _same_float(got, want), (a, b, start, steps, got, want)
+
+
 @pytest.mark.parametrize("a, b", [(math.inf, -1.2), (1.2, -math.inf),
                                   (math.nan, 0.5), (0.5, math.nan),
                                   (math.inf, math.inf)])
@@ -627,6 +650,18 @@ def test_bracket_contains_closed_rotation(family, t):
 def test_bracket_holds_the_estimate(a, b, steps):
     # the N-step estimate walks the same orbit, and lies within 1/N of
     # the rotation number the bracket encloses
+    _assert_estimate_in_bracket(a, b, steps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(1, 4096))
+def test_bracket_holds_the_estimate_anywhere(a, b, steps):
+    # the same containment over the slope square: the float estimate's
+    # angle sum and the bracket's sign count walk one orbit of (1, 0)
+    _assert_estimate_in_bracket(a, b, steps)
+
+
+def _assert_estimate_in_bracket(a, b, steps):
     lower, upper = _final_bracket(Params(a, b), steps)
     est = Fraction(rotation_number(Params(a, b), (1.0, 0.0), steps).value)
     assert lower - Fraction(1, steps) <= est <= upper + Fraction(1, steps)

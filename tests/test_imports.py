@@ -139,13 +139,15 @@ calls = [
     run(["rotation", "-a", "{A}", "-b", "-{A}", "-N", "2000"], "113"),
     run(["orbit", "-a", "{A}", "-b", "-{A}", "-x", "0", "-y", "1",
          "-n", "500", "--out", "m.csv"], "113"),
+    run(["rotation", "-a", "{A}", "-b", "-{A}", "-N", "200000"]),
 ]
 print(json.dumps(calls))
 """, tmp_path)
     assert [c[:3] for c in got] == [
         ["--help", 0, False], ["orbit", 0, False], ["trace-curve", 0, False],
-        ["rotation", 0, False], ["orbit", 0, False]]
+        ["rotation", 0, False], ["orbit", 0, False], ["rotation", 0, False]]
     assert got[3][3].startswith("rotation value: mpf('0.204")
+    assert got[5][3].startswith("rotation value: 0.20481723340553465\n")
     assert len((tmp_path / "m.csv").read_text().splitlines()) == 502
 
 
@@ -158,6 +160,7 @@ a = 2.0 ** 0.25
 iterate(Params(a, -a), (0.0, 1.0), 1000)
 rel = orbit_relation(Params(a, -a))
 root = curve_find(-8, lambda t: (t, -t), (1.15, 1.25))
+rotation_number(Params(a, -a), (1.0, 0.0), 1000)
 with mpmath.workprec(113):
     m = mpmath.mpf(a)
     iterate(Params(m, -m), (mpmath.mpf(0), mpmath.mpf(1)), 1000)

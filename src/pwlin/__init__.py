@@ -24,15 +24,13 @@ from . import errors
 _PUBLIC = {
     "builder": "InvariantCircle build_invariant_circle circle_to_polyline "
                "residual_report",
-    "circle": "RotationEstimate lift_displacement rotation_number s_step "
-              "snap_rational",
+    "circle": "RotationEstimate rotation_number snap_rational",
     "conics": "ConicArc ConicClass QuadraticForm arc_in_sector eigenrays "
               "invariant_form level_through",
     "core": "Mat2 Params difference_step inverse_step iterate step "
-            "swap_conjugate word_matrix",
+            "word_matrix",
     "families": "FamilyId SpectralData VerificationReport alpha0 "
-                "closed_rotation curve_find family_b family_params "
-                "verify_family",
+                "closed_rotation curve_find family_b verify_family",
     "output": "PlotSpec emit_orbit_csv emit_scan_csv emit_svg",
     "returnmap": "OrbitRelation Ray ReturnMap ReturnPiece Sector "
                  "commutator_residual distinguished_sectors distinguished_set "

@@ -305,27 +305,16 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
     return max(per_sector), per_sector, (prefix[1:], prefix[:-1])
 
 
-def circle_to_polyline(
-    circle: InvariantCircle,
-    samples_per_arc: int | None = None,
-) -> list[Point]:
+def circle_to_polyline(circle: InvariantCircle) -> list[Point]:
     """Closed CCW polyline through all arcs.
 
     Shared endpoints between adjacent arcs are deduplicated; the final
     point closes the loop (equal to the first within 1e-9 relative for
-    an accepted circle).  When ``samples_per_arc`` differs from the
-    arcs' native sampling, the arcs are resampled.
+    an accepted circle).  The arcs' sampling density is the
+    ``n_samples`` of :func:`build_invariant_circle`.
     """
-    arcs = circle.arcs
-    if samples_per_arc is not None and any(
-            len(a.samples) != samples_per_arc for a in arcs):
-        arcs = [
-            arc_in_sector(a.form, a.level, a.sector, a.anchor,
-                          samples_per_arc, a.conic_class)
-            for a in arcs
-        ]
     out: list[Point] = []
-    for arc in arcs:
+    for arc in circle.arcs:
         pts = arc.samples
         if out and _relative_gap(out[-1], pts[0]) <= 1e-9:
             pts = pts[1:]

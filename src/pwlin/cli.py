@@ -103,6 +103,12 @@ def _cmd_return_map(ns) -> int:
     return 0
 
 
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_circle(ns) -> int:
     if ns.orbit_len < 1:  # a residual over no orbit points proves nothing
         raise PwlinError(f"--orbit-len must be at least 1, got {ns.orbit_len}")
@@ -135,9 +141,7 @@ def _cmd_circle(ns) -> int:
         "orbit_residual": max_res,
         "levels": [arc.level for arc in inv.arcs],
     }
-    with open(json_path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, payload)
     print(f"{inv.sector_count} {inv.conic_class.value} arcs; "
           f"orbit residual {max_res:.3e}")
     print(f"wrote {svg_path} and {json_path}")
@@ -161,9 +165,7 @@ def _cmd_verify_example(ns) -> int:
     for note in report.notes:
         print(f"  note: {note}")
     if ns.json:
-        with open(ns.json, "w", newline="") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(ns.json, report.to_dict())
         print(f"wrote {ns.json}")
     return 0
 
@@ -172,11 +174,8 @@ def _cmd_scan(ns) -> int:
     records = scanner.scan((ns.a_min, ns.a_max), (ns.b_min, ns.b_max),
                    ns.resolution, ns.budget, half_plane=ns.half_plane)
     if ns.out.endswith(".json"):
-        with open(ns.out, "w", newline="") as fh:
-            json.dump({"schema_version": "v1",
-                       "records": [r.to_dict() for r in records]}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(ns.out, {"schema_version": "v1",
+                             "records": [r.to_dict() for r in records]})
     else:
         output.emit_scan_csv(records, ns.out)
     print(f"wrote {ns.out} ({len(records)} records)")

@@ -180,11 +180,6 @@ class ConicArc:
     anchor: Point
     samples: list[Point]
 
-    def max_level_residual(self) -> float:
-        lam = self.level
-        scale = max(1.0, abs(lam))
-        return max(abs(self.form(p) - lam) / scale for p in self.samples)
-
 
 def _boundary_point(form: QuadraticForm, level: float, ray: Ray) -> Point:
     """Intersection of the level set with a boundary ray."""

@@ -364,10 +364,6 @@ class Mat2:
     def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def inverse(self) -> "Mat2":
-        d = self.det()
-        return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
-
     def max_abs(self):
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
 
@@ -375,13 +371,6 @@ class Mat2:
         return max(
             abs(self.m11 - other.m11), abs(self.m12 - other.m12),
             abs(self.m21 - other.m21), abs(self.m22 - other.m22))
-
-
-def step_factor(params: Params, sign: str) -> Mat2:
-    """The per-step cocycle factor [[a or b, -1], [1, 0]] for one symbol."""
-    slope = params.a if sign == PLUS else params.b
-    one = slope ** 0  # 1 in the slope's own numeric type
-    return Mat2(slope, -one, one, one - one)
 
 
 def word_matrix(params: Params, word: str) -> Mat2:
@@ -415,16 +404,6 @@ def word_matrix(params: Params, word: str) -> Mat2:
         m11, m12, m21, m22 = (float(np.float64(v))
                               for v in (m11, m12, m21, m22))
     return Mat2(m11, m12, m21, m22)
-
-
-def swap_conjugate(params: Params) -> Params:
-    """Swapped slope pair (b, a).
-
-    Negating the plane conjugates the two: the orbit of ``(-x, -y)``
-    under the swapped parameters is the pointwise negation of the orbit
-    of ``(x, y)`` under the original ones.
-    """
-    return Params(params.b, params.a)
 
 
 def difference_step(params: Params, x_prev, x_cur):

@@ -94,10 +94,6 @@ def family_b(family: FamilyId, a: float) -> float:
     return (a - 1.0) * (2.0 * a ** 3 - 4.0 * a - 1.0) / denom
 
 
-def family_params(family: FamilyId, a: float) -> Params:
-    return Params(a, family_b(family, a))
-
-
 @lru_cache(maxsize=1)
 def alpha0() -> float:
     """Unique root of x^4 + 3x^3 + 3x^2 + x - 1 in (0, 1).

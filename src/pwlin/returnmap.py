@@ -238,9 +238,6 @@ class ReturnMap:
     sector: Sector
     pieces: list[ReturnPiece] = field(default_factory=list)
 
-    def breakpoints(self) -> list[Ray]:
-        return [p.subsector.start for p in self.pieces[1:]]
-
 
 @dataclass(frozen=True)
 class OrbitRelation:

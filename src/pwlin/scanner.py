@@ -236,7 +236,7 @@ def scan(
 
 
 def _failed_cell(params: Params, budget: int, error: str) -> ClassRecord:
-    est = RotationEstimate(math.nan, budget, 1.0 / budget)
+    est = RotationEstimate(math.nan, budget)
     return ClassRecord(params, est, Verdict.UNDETERMINED, error=error)
 
 
@@ -315,7 +315,7 @@ def _orbit_stats(cells: list[Params], budget: int,
     ends = zip((buf[1, :n] * sign[:n]).tolist(),
                (buf[0, :n] * sign[:n] + 0.0).tolist())
     return [(RotationEstimate(winding_value(t, (1.0, 0.0), end, budget),
-                              budget, 1.0 / budget), stats)
+                              budget), stats)
             for t, end, stats in zip(turns.tolist(), ends, runs.stats())]
 
 

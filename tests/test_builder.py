@@ -38,12 +38,16 @@ import oracles
 from conftest import A_SPECIAL, ALPHA0, B_SPECIAL, C_SPECIAL
 
 
-@pytest.fixture(scope="module")
-def circle_a_special():
+def _special_circle(n_samples=512):
     a = 2.0 ** 0.25
     params = Params(a, -a)
     rel = orbit_relation(params)
-    return build_invariant_circle(params, rel)
+    return build_invariant_circle(params, rel, n_samples=n_samples)
+
+
+@pytest.fixture(scope="module")
+def circle_a_special():
+    return _special_circle()
 
 
 def test_eight_arc_ellipse_circle(circle_a_special):
@@ -86,8 +90,11 @@ def test_long_ellipses_near_the_pole_take_the_trace_class(a):
     assert circle.conic_class is ConicClass.ELLIPSE
     assert all(arc.conic_class is ConicClass.ELLIPSE for arc in circle.arcs)
     assert residual_report(circle, orbit_len=100_000)[0] < 1e-8
-    # resampling keeps each arc's class
-    assert len(circle_to_polyline(circle, samples_per_arc=64)) == 8 * 64 - 7
+    # a sparser sampling keeps each arc's class
+    circle = build_invariant_circle(params, orbit_relation(params),
+                                    n_samples=64)
+    assert all(arc.conic_class is ConicClass.ELLIPSE for arc in circle.arcs)
+    assert len(circle_to_polyline(circle)) == 8 * 64 - 7
 
 
 def test_divergent_family_raises_asymptote(params_c_special):
@@ -146,7 +153,7 @@ def test_residual_detects_off_curve_parameters(circle_a_special):
 
 
 def test_polyline_counts(circle_a_special):
-    poly = circle_to_polyline(circle_a_special, samples_per_arc=512)
+    poly = circle_to_polyline(circle_a_special)
     assert len(poly) == 8 * 512 - 7
     first, last = poly[0], poly[-1]
     assert math.hypot(first[0] - last[0], first[1] - last[1]) <= 1e-9 * max(
@@ -162,8 +169,8 @@ def test_polyline_on_level_sets(circle_a_special):
         assert on_some
 
 
-def test_polyline_winding_number(circle_a_special):
-    poly = circle_to_polyline(circle_a_special, samples_per_arc=128)
+def test_polyline_winding_number():
+    poly = circle_to_polyline(_special_circle(128))
     total = 0.0
     for p, q in zip(poly, poly[1:]):
         total += math.atan2(p[0] * q[1] - p[1] * q[0],
@@ -193,8 +200,8 @@ def test_circle_is_invariant_set(circle_a_special):
     invariant as a set."""
     from pwlin import step
 
-    poly = circle_to_polyline(circle_a_special, samples_per_arc=2048)
-    probe = circle_to_polyline(circle_a_special, samples_per_arc=128)
+    poly = circle_to_polyline(_special_circle(2048))
+    probe = circle_to_polyline(_special_circle(128))
     images = [step(circle_a_special.params, p) for p in probe]
     dists = _polyline_distance(images, poly)
     scales = [max(1.0, math.hypot(*im)) for im in images]

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from pwlin import (
     Params,
-    lift_displacement,
     rotation_number,
-    s_step,
     snap_rational,
+    step,
 )
 from pwlin import FamilyId, closed_rotation, family_b
 from pwlin.circle import (ROTATION_BLOCK, RotationEstimate, angle_of,
-                          rotation_brackets)
+                          normalize, rotation_brackets)
 from pwlin.core import rescale_chunk
 from pwlin.errors import ArgumentError, DomainError
 
@@ -27,7 +26,7 @@ from conftest import A_SPECIAL, A_SPECIAL_ROTATION, B_SPECIAL, C_SPECIAL
 
 
 def test_s_step_boundary_directions():
-    assert s_step(Params(0.3, -0.9), (0.0, 1.0)) == (-1.0, 0.0)
+    assert normalize(step(Params(0.3, -0.9), (0.0, 1.0))) == (-1.0, 0.0)
 
 
 def test_s_step_quarter_rotation():
@@ -36,7 +35,7 @@ def test_s_step_quarter_rotation():
     for _ in range(200):
         t = rng.uniform(0, 2 * math.pi)
         u = (math.cos(t), math.sin(t))
-        v = s_step(p, u)
+        v = normalize(step(p, u))
         assert math.hypot(v[0] + u[1], v[1] - u[0]) <= 1e-12
 
 
@@ -46,14 +45,22 @@ def test_s_step_output_norm():
     for _ in range(10_000):
         t = rng.uniform(0, 2 * math.pi)
         u = (math.cos(t), math.sin(t))
-        v = s_step(p, u)
+        v = normalize(step(p, u))
         assert abs(math.hypot(*v) - 1.0) <= 1e-14
+
+
+def _winding_increment(params, u):
+    """Lift increment of one step by the winding identity: the atan2
+    difference, plus a full turn exactly when ``u[0] < 0 <= u[1]``."""
+    v = step(params, u)
+    d = math.atan2(v[1], v[0]) - math.atan2(u[1], u[0])
+    return d + 2 * math.pi if u[0] < 0 <= u[1] else d
 
 
 def test_lift_boundary_values_exact():
     for params in (Params(0.0, 0.0), Params(1.7, -2.9), Params(-1.0, 3.0)):
-        assert lift_displacement(params, (0.0, 1.0)) == math.pi / 2
-        assert lift_displacement(params, (0.0, -1.0)) == math.pi / 2
+        assert _winding_increment(params, (0.0, 1.0)) == math.pi / 2
+        assert _winding_increment(params, (0.0, -1.0)) == math.pi / 2
 
 
 def test_lift_quarter_rotation():
@@ -61,18 +68,19 @@ def test_lift_quarter_rotation():
     p = Params(0.0, 0.0)
     for _ in range(200):
         t = rng.uniform(0, 2 * math.pi)
-        d = lift_displacement(p, (math.cos(t), math.sin(t)))
+        d = _winding_increment(p, (math.cos(t), math.sin(t)))
         assert abs(d - math.pi / 2) <= 1e-12
 
 
 def test_lift_window():
-    # strictly inside (-pi/2, 3pi/2) for generic directions; the closed
-    # left end is attained only by the exact vertical directions
+    # the winding identity's increment lies strictly inside
+    # (-pi/2, 3pi/2): no step needs a turn taken off, and the turn added
+    # at x < 0 <= y is the only one needed
     rng = random.Random(8)
     for _ in range(100_000):
         p = Params(rng.uniform(-4, 4), rng.uniform(-4, 4))
         t = rng.uniform(0, 2 * math.pi)
-        d = lift_displacement(p, (math.cos(t), math.sin(t)))
+        d = _winding_increment(p, (math.cos(t), math.sin(t)))
         assert -math.pi / 2 < d < 1.5 * math.pi
 
 
@@ -130,23 +138,23 @@ def test_orientation_preserved():
             if all(abs(t - angle_of(q)) > 1e-6 for q in pts):
                 pts.append((math.cos(t), math.sin(t)))
         before = cyclic_order(*pts)
-        after = cyclic_order(*(s_step(p, u) for u in pts))
+        after = cyclic_order(*(step(p, u) for u in pts))
         assert before == after
 
 
 def test_snap_quarter():
-    est = RotationEstimate(0.25, 1000, 1e-3)
+    est = RotationEstimate(0.25, 1000)
     assert snap_rational(est, 256) == Fraction(1, 4)
 
 
 def test_snap_fifth():
-    est = RotationEstimate(0.2000003, 10**6, 1e-6)
+    est = RotationEstimate(0.2000003, 10**6)
     assert snap_rational(est, 256) == Fraction(1, 5)
 
 
 def test_snap_rejects_zero_over_one():
     # 0.25 is far from 0/1; the convergent scan must not stop there
-    est = RotationEstimate(0.25, 1000, 1e-3)
+    est = RotationEstimate(0.25, 1000)
     snap = snap_rational(est, 1)
     assert snap is None
 
@@ -157,24 +165,32 @@ def test_snap_none_for_irrational_special_point():
     best = min(abs(value - p / q)
                for q in range(1, 51) for p in range(0, q + 1))
     assert best > 2e-6
-    est = RotationEstimate(value, 10**6, 1e-6)
+    est = RotationEstimate(value, 10**6)
     assert snap_rational(est, 50) is None
 
 
 def test_snap_requires_enough_steps():
     # denominator resolution is limited by the run length: q^2 <= N/4
-    est = RotationEstimate(0.2, 128, 1.0 / 128)
+    est = RotationEstimate(0.2, 128)
     assert snap_rational(est, 256) == Fraction(1, 5)
-    est_short = RotationEstimate(0.2, 64, 1.0 / 64)
+    est_short = RotationEstimate(0.2, 64)
     assert snap_rational(est_short, 256) is None  # 5^2 > 64/4
-    est_23 = RotationEstimate(1.0 / 23.0, 1000, 1e-3)
+    est_23 = RotationEstimate(1.0 / 23.0, 1000)
     assert snap_rational(est_23, 256) is None  # 23^2 > 250
+
+
+def test_error_bound_is_one_over_steps():
+    assert RotationEstimate(0.2, 128).error_bound == 1 / 128
+    # snap is keyword-only: a third positional argument is not taken
+    # for it
+    with pytest.raises(TypeError):
+        RotationEstimate(0.2, 128, 1 / 128)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_snap_none_for_non_finite_estimate(value):
     # a non-finite estimate has no continued fraction to scan
-    assert snap_rational(RotationEstimate(value, 10**4, 1e-4), 256) is None
+    assert snap_rational(RotationEstimate(value, 10**4), 256) is None
 
 
 def test_rotation_mpf_backend():
@@ -464,7 +480,7 @@ def test_rotation_mp_winding_identity(prec, a, b):
             est = rotation_number(params, u0, n)
             assert isinstance(est.value, mpmath.mpf)
             assert abs(est.value - old) <= n * mpf(2) ** (1 - prec), n
-            old_est = RotationEstimate(old, n, 1.0 / n)
+            old_est = RotationEstimate(old, n)
             assert snap_rational(est, 256) == snap_rational(old_est, 256)
             assert mpmath.mp.prec == prec
     assert mpmath.mp.prec == before

@@ -13,11 +13,10 @@ from pwlin import (
     inverse_step,
     iterate,
     step,
-    swap_conjugate,
     word_matrix,
 )
-from pwlin.core import (GROWTH_BITS, mpf_pair, rescale_chunk, step_factor,
-                        walk_chain, walk_mpf)
+from pwlin.core import (GROWTH_BITS, mpf_pair, rescale_chunk, walk_chain,
+                        walk_mpf)
 from pwlin.errors import OrbitOverflowError
 
 
@@ -151,15 +150,10 @@ def test_word_matrix_reproduces_iteration(params_a12):
     assert math.hypot(image[0] - orbit[-1][0], image[1] - orbit[-1][1]) <= 1e-10
 
 
-def test_swap_conjugate_swaps():
-    assert swap_conjugate(Params(1.2, -0.5)) == Params(-0.5, 1.2)
-    assert swap_conjugate(Params(0.7, 0.7)) == Params(0.7, 0.7)
-
-
 def test_swap_conjugacy_identity():
     rng = random.Random(9)
     p = Params(0.7, -1.1)
-    q = swap_conjugate(p)
+    q = Params(p.b, p.a)
     for _ in range(100):
         v = (rng.uniform(-5, 5), rng.uniform(-5, 5))
         lhs = step(q, (-v[0], -v[1]))
@@ -183,7 +177,7 @@ def test_inverse_step_is_swapped_step(a, b, x, y):
 def test_swap_conjugacy_orbits():
     rng = random.Random(10)
     p = Params(1.4, -0.6)
-    q = swap_conjugate(p)
+    q = Params(p.b, p.a)
     v = (rng.uniform(-2, 2), rng.uniform(-2, 2))
     orb_p, _ = iterate(p, v, 100)
     orb_q, _ = iterate(q, (-v[0], -v[1]), 100)
@@ -263,13 +257,13 @@ def test_word_matrix_fraction_stays_exact():
         entries = (m.m11, m.m12, m.m21, m.m22)
         assert all(type(v) is Fraction for v in entries), (word, entries)
         assert m.det() == 1
-    assert word_matrix(p, "+-+") == step_factor(p, "+") @ step_factor(
-        p, "-") @ step_factor(p, "+")
+    assert word_matrix(p, "+-+") == word_matrix(p, "+") @ word_matrix(
+        p, "-") @ word_matrix(p, "+")
     assert Mat2.identity(Fraction(1)) == Mat2(*(Fraction(v) for v in (1, 0, 0, 1)))
 
 
 def test_float_cocycle_seeds_unchanged():
-    m = step_factor(Params(1.7, -0.9), "-")
+    m = word_matrix(Params(1.7, -0.9), "-")
     assert (m.m11, m.m12, m.m21, m.m22) == (-0.9, -1.0, 1.0, 0.0)
     assert all(type(v) is float for v in (m.m12, m.m21, m.m22))
     assert math.copysign(1.0, m.m22) == 1.0

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import pwlin
 
 SRC = os.path.dirname(os.path.dirname(pwlin.__file__))
@@ -106,6 +108,17 @@ print(json.dumps([before, homes, sorted(set(pwlin.__all__) - set(dir(pwlin))),
     assert unknown == "module 'pwlin' has no attribute 'no_such_name'"
     assert after == ["builder", "circle", "conics", "core", "families",
                      "output", "returnmap", "scanner"]
+
+
+def test_removed_helpers_are_not_public():
+    # no pwlin path called them; step, normalize, Params(b, a) and
+    # Params(a, family_b(...)) say the same
+    assert len(pwlin.__all__) == 51
+    for name in ("s_step", "lift_displacement", "swap_conjugate",
+                 "family_params"):
+        assert name not in pwlin.__all__
+        with pytest.raises(AttributeError):
+            getattr(pwlin, name)
 
 
 def test_a_rebound_layer_function_is_the_one_the_cli_calls(tmp_path):

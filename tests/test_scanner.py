@@ -121,7 +121,7 @@ def _classify_cell(params, budget, config):
     try:
         return classify(params, budget, config).to_dict()
     except (PwlinError, ArithmeticError) as exc:
-        est = RotationEstimate(math.nan, budget, 1.0 / budget)
+        est = RotationEstimate(math.nan, budget)
         return ClassRecord(params, est, Verdict.UNDETERMINED,
                            error=str(exc)).to_dict()
 
@@ -310,7 +310,7 @@ def _reference_orbit_stats(cells, budget, cap, chunk_cap=64):
                / (2 * math.pi))
               / budget for w, u, v in zip(turns, buf[0, :n], y[:n])]
     mx, mn, near = mx.tolist(), mn.tolist(), near.tolist()
-    return [(RotationEstimate(values[i], budget, 1.0 / budget),
+    return [(RotationEstimate(values[i], budget),
              _NormStats(mx[n + i], mn[n + i], near[n + i], mx[i]))
             for i in range(n)]
 
@@ -833,8 +833,9 @@ def test_emit_svg_overlay_near_orbit(tmp_path):
 
     a = 2.0 ** 0.25
     params = Params(a, -a)
-    circle = build_invariant_circle(params, orbit_relation(params))
-    poly = circle_to_polyline(circle, samples_per_arc=2048)
+    circle = build_invariant_circle(params, orbit_relation(params),
+                                    n_samples=2048)
+    poly = circle_to_polyline(circle)
     orbit, _ = iterate(params, (0.0, 1.0), 20_000)
     pts = np.asarray(orbit[:: 20])
     seg_a = np.asarray(poly)

@@ -6,8 +6,9 @@ defaults classify every worked example and every figure parameter of
 the underlying study correctly.
 
 One method, :meth:`_NormRuns.fold`, reduces the norm runs chunk by
-chunk: :func:`classify` feeds it :func:`~pwlin.core.walk_rescaled` chunks
-of one cell, :func:`scan` the numpy lanes of all cells of a grid, and
+chunk, taking ``hypot`` only where a point may move a running extreme:
+:func:`classify` feeds it :func:`~pwlin.core.walk_rescaled` chunks of
+one cell, :func:`scan` the numpy lanes of all cells of a grid, and
 :func:`scan` then decides each cell with the code of :func:`classify`.
 Verdicts, snaps, ``periodic_q`` and the norm columns match per-cell
 :func:`classify` bit for bit.  :func:`scan` takes the rotation value by
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .circle import (RotationEstimate, rotation_number, snap_rational,
@@ -66,7 +67,7 @@ class Evidence:
     radius_ratio: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields in order, not deep-copied
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,8 @@ def _orbit_stats(cells: list[Params], budget: int,
     rows are rescaled by an exact power of two into the first two.  The
     rotation estimate is :func:`~pwlin.circle.winding_value` of each
     (1, 0) lane's count of steps from ``x < 0 <= y`` and its last point.
+    A step is four ufunc calls on same-shape rows (a broadcast one would
+    take numpy's slower general loop).
 
     The buffer holds each lane in a sign-folded frame, ``z = c * x`` with
     ``c = +1`` where ``a >= b`` and ``-1`` elsewhere, where the step
@@ -281,16 +284,16 @@ def _orbit_stats(cells: list[Params], budget: int,
     n = len(cells)
     a = np.array([c.a for c in cells], dtype=float)
     b = np.array([c.b for c in cells], dtype=float)
-    slopes = np.tile([a, b], 2)  # (2, lanes): each lane's a and b
-    sign = np.where(slopes[0] >= slopes[1], 1.0, -1.0)
+    slope_a, slope_b = np.tile(a, 2), np.tile(b, 2)  # each lane's slopes
+    sign = np.where(slope_a >= slope_b, 1.0, -1.0)
     chunk = rescale_chunk((np.abs(a).max(), np.abs(b).max()), _CHUNK)
 
     buf = np.empty((chunk + 2, 2 * n))
     rows = list(buf)
     buf[0] = np.repeat([0.0, 1.0], n) * sign
     buf[1] = np.repeat([1.0, 0.0], n) * sign
-    prod = np.empty((2, 2 * n))
-    prod_a, prod_b = prod
+    prod_a, prod_b = np.empty((2, 2 * n))
+    multiply, subtract, maximum = np.multiply, np.subtract, np.maximum
     expo = np.zeros(2 * n, dtype=np.int64)  # true lane = buffer * 2**expo
     turns = np.zeros(n, dtype=np.int64)
     runs = _NormRuns(n, chunk, cap)
@@ -299,12 +302,13 @@ def _orbit_stats(cells: list[Params], budget: int,
     while done < budget:
         m = min(chunk, budget - done)
         for y, z, row in zip(rows, rows[1:m + 1], rows[2:m + 2]):
-            np.multiply(slopes, z, out=prod)
-            np.maximum(prod_a, prod_b, out=row)
-            np.subtract(row, y, out=row)
+            multiply(slope_a, z, prod_a)
+            multiply(slope_b, z, prod_b)
+            maximum(prod_a, prod_b, out=row)
+            subtract(row, y, row)
         xs = buf[:m + 1, :n] * sign[:n]
         turns += np.count_nonzero((xs[1:] < 0.0) & (xs[:-1] >= 0.0), axis=0)
-        runs.fold(buf[2:m + 2], buf[1:m + 1], expo)
+        runs.fold(buf[1:m + 2], expo)
 
         _, e = np.frexp(np.abs(buf[m:m + 2]).max(axis=0))
         np.ldexp(buf[m:m + 2], -e, out=buf[:2])
@@ -319,6 +323,13 @@ def _orbit_stats(cells: list[Params], budget: int,
             for t, end, stats in zip(turns.tolist(), ends, runs.stats())]
 
 
+#: Relative slack of the candidate rule of :meth:`_NormRuns.fold`, far
+#: above the few-ulp errors of ``hypot`` and of the squared norms.
+_SLACK = 2.0 ** -30
+#: Squared proximities below this may have lost accuracy to underflow.
+_TINY_Q = 2.0 ** -190
+
+
 class _NormRuns:
     """Norm runs of the orbit of (0, 1) of ``n`` cells, forward and
     backward, folded in one chunk at a time.
@@ -326,88 +337,123 @@ class _NormRuns:
     Lanes ``[:n]`` follow the orbit of (1, 0), which with x and y
     swapped is the backward orbit of (0, 1) (``inverse_step`` is
     ``step`` conjugated by the swap); lanes ``[n:]`` follow the orbit
-    of (0, 1).  Per lane: ``mx`` and ``mn``, the running max and min
-    norm ratio, and ``near``, the least ``|x| / ||v||``.  A run stops
-    (``live`` turns False) at its first norm above ``cap``, which is
-    counted, or at its first ``|x|`` above ``OVERFLOW_LIMIT``, which is
-    not and sets its max to inf.
+    of (0, 1).  ``mx``: each lane's running max norm ratio; ``mn`` and
+    ``near``: each forward lane's running min and least ``|x| /
+    ||v||``.  A run stops (``live`` turns False) at its first norm
+    above ``cap``, which is counted, or at its first ``|x|`` above
+    ``OVERFLOW_LIMIT``, which is not and sets its max to inf.
     """
 
     def __init__(self, n: int, rows: int, cap: float):
         import numpy as np
 
-        self.cap = cap
-        self.mx, self.mn = np.ones(2 * n), np.ones(2 * n)
-        self.near = np.full(2 * n, math.inf)
+        self.cap, self.fresh = cap, True  # fresh: no chunk folded yet
+        self.mx = np.ones(2 * n)
+        self.mn, self.near = np.ones(n), np.full(n, math.inf)
         self.live = np.ones(2 * n, dtype=bool)
-        # holds the live columns of each chunk: a fresh copy per chunk
-        # made the allocator hand its pages back and fault them in again
-        self._work = np.empty((2, rows * 2 * n))
+        # kept across chunks: fresh ones per chunk cost page faults
+        self._sq = np.empty((rows + 1, 2 * n))
+        self._s = np.empty((rows, 2 * n))
+        self._cand = np.empty((2, rows, 2 * n), dtype=bool)
 
     def stats(self) -> list[_NormStats]:
         """Each cell's statistics, as plain floats."""
-        n = self.live.size // 2
+        n = self.mn.size
         mx, mn, near = self.mx.tolist(), self.mn.tolist(), self.near.tolist()
-        return [_NormStats(mx[n + i], mn[n + i], near[n + i], mx[i])
+        return [_NormStats(mx[n + i], mn[i], near[i], mx[i])
                 for i in range(n)]
 
-    def fold(self, xs, ys, expo) -> None:
-        """Fold in one chunk: ``(m, lanes)`` arrays of orbit points in
-        buffer scale (the true point is the buffer point times
-        ``2**expo``), ``m`` at most ``rows``.
+    def fold(self, chain, expo) -> None:
+        """Fold in one chunk: a ``(m + 1, lanes)`` array of x-components
+        in buffer scale, point ``k`` being ``(chain[k + 1], chain[k])``
+        and the true point the buffer point times ``2**expo``.
 
-        A live lane compares its chunk's largest norm and |x| with
-        ``cap`` and ``OVERFLOW_LIMIT`` scaled by its own ``2**-expo``,
-        and only its chunk max and min are scaled back.  The comparison
-        is exact: a live lane's ``2**expo`` is at most twice values it
-        has seen below both limits (its starting norm 1 included), so
-        the scaled limits are normal floats (or inf where the true ones
-        are beyond any buffer value).  Scaling by a power of two is
-        monotone, so it commutes with max and min bit for bit.  Lanes
-        that stop inside the chunk are cut at their stopping row; the
-        rest take whole-chunk extremes from :func:`_norm_extremes`.
+        ``s = x*x + y*y`` and ``q = x*x / s`` are ``h**2`` and ``(|x| /
+        h)**2`` of ``h = hypot(x, y)`` to a few ulps, so only an element
+        whose ``s`` is within ``_SLACK`` of the squared running max
+        (min) of its lane, scaled by ``2**-expo``, or beyond can raise
+        (lower) it, and likewise ``q`` for ``near``.  Only these
+        candidates get a ``hypot``, with every ``q`` up to ``_TINY_Q``
+        (below ``2**-200``, underflow in ``x*x`` may have cost ``q`` its
+        accuracy, and its ``|x| / h`` is far below that of any larger
+        ``q``) and every ``s`` from ``(2**-expo * OVERFLOW_LIMIT / 2)**2``
+        up, which an ``|x|`` above the limit reaches under any running
+        max.  The first chunk, whose running stats are the start's,
+        takes its own column extremes of ``s`` and ``q`` instead; a
+        stopped lane takes nan, which no element passes.  This needs
+        finite elements with ``max(|x|, |y|)`` in ``[2**-401,
+        2**401]``, as the kernel's chunks keep them (see
+        ``rescale_chunk``), or a single row, where an ``s`` that
+        overflows is inf, a candidate in any case.
+
+        A live lane's running max is <= cap (the first step's norm is at
+        least the starting 1), so its first norm above ``cap`` is a
+        candidate.  Compared with ``cap`` and ``OVERFLOW_LIMIT`` scaled
+        by ``2**-expo``, exactly: a live lane's ``2**expo`` is at most
+        twice values it has seen below both limits, so the scaled limits
+        are normal floats (or inf where the true ones are beyond any
+        buffer value).  A lane that stops is cut at its stopping row over
+        its whole column, a cap step counted, an overflow step not.
+        Scaling by a power of two is monotone, so it commutes with max
+        and min bit for bit.
         """
         import numpy as np
 
-        live = self.live
-        idx = np.flatnonzero(live)
-        if not idx.size:
-            return
-        if idx.size == live.size:
-            cols, xv, yv = slice(None), xs, ys
-        else:
-            cols, shape = idx, (xs.shape[0], idx.size)
-            size = shape[0] * shape[1]
-            xv = np.take(xs, idx, axis=1, mode="clip",
-                         out=self._work[0, :size].reshape(shape))
-            yv = np.take(ys, idx, axis=1, mode="clip",
-                         out=self._work[1, :size].reshape(shape))
-        e = expo[cols]
-        hi, lo, prox = _norm_extremes(xv, yv)
+        live, n, m = self.live, self.mn.size, chain.shape[0] - 1
+        x, y = chain[1:], chain[:-1]
+        sq = np.multiply(chain, chain, out=self._sq[:m + 1])
+        xx = sq[1:]
+        s = np.add(xx, sq[:-1], out=self._s[:m])
+        cand, more = self._cand[:, :m]
+        # least s that may raise the max, largest s (q) that may lower
+        # the min (near); nan for backward lanes' min and near, unread
+        hi, lo, near = np.full((3, live.size), math.nan)
         with np.errstate(over="ignore"):
-            cap_e = np.ldexp(self.cap, -e)
-            limit_e = np.ldexp(OVERFLOW_LIMIT, -e)
-        hit = np.flatnonzero((hi > cap_e) | (np.abs(xv).max(axis=0) > limit_e))
-        if hit.size:
-            # live lanes have a running max <= cap (the first step's norm
-            # is at least the starting 1), so the first norm above cap is
-            # where the running max passes it; a cap step is counted, an
-            # overflow step is not
-            hk, ak = np.hypot(xv[:, hit], yv[:, hit]), np.abs(xv[:, hit])
-            escaped = ak > limit_e[hit]
-            stop = escaped | (hk > cap_e[hit])
-            first = stop.argmax(axis=0)
-            overflow = escaped[first, np.arange(hit.size)]
-            seen = np.arange(xs.shape[0])[:, None] < first + 1 - overflow
-            hi[hit] = np.where(seen, hk, -math.inf).max(axis=0)
-            hi[hit[overflow]] = math.inf
-            lo[hit] = np.where(seen, hk, math.inf).min(axis=0)
-            prox[hit] = np.where(seen, ak / hk, math.inf).min(axis=0)
-            live[idx[hit]] = False
-        with np.errstate(over="ignore"):
-            self.mx[cols] = np.maximum(self.mx[cols], np.ldexp(hi, e))
-        self.mn[cols] = np.minimum(self.mn[cols], np.ldexp(lo, e))
-        self.near[cols] = np.minimum(self.near[cols], prox)
+            cap_e, limit_e = np.ldexp([[self.cap], [OVERFLOW_LIMIT]], -expo)
+            if self.fresh:
+                self.fresh = False
+                np.multiply(s.max(axis=0), 1.0 - _SLACK, out=hi)
+                lo[n:] = s[:, n:].min(axis=0) * (1.0 + _SLACK)
+                near[n:] = (xx[:, n:] / s[:, n:]).min(axis=0)
+            else:
+                np.ldexp(self.mx * (1.0 - _SLACK), -expo, out=hi)
+                lo[n:] = np.ldexp(self.mn * (1.0 + _SLACK), -expo[n:])
+                near[n:] = self.near * self.near
+                hi *= hi
+                lo *= lo
+            np.minimum(hi, np.square(limit_e * 0.5), out=hi)
+            near[n:] = np.maximum(near[n:] * (1.0 + _SLACK), _TINY_Q)
+            hi[~live] = lo[~live] = near[~live] = math.nan
+            np.greater_equal(s, hi, out=cand)
+            cand |= np.less_equal(s, lo, out=more)
+            s *= near
+            cand |= np.less_equal(xx, s, out=more)
+
+            row, col = np.divmod(np.flatnonzero(cand), live.size)
+            xc = x[row, col]
+            hk, ak = np.hypot(xc, y[row, col]), np.abs(xc)
+            hi, lo, prox = np.full((3, live.size), math.inf)
+            hi *= -1.0
+            np.maximum.at(hi, col, hk)
+            np.minimum.at(lo, col, hk)
+            np.minimum.at(prox, col, ak / hk)
+            stop = (ak > limit_e[col]) | (hk > cap_e[col])
+            if stop.any():
+                hit = np.flatnonzero(np.bincount(col[stop], minlength=2 * n))
+                hk, ak = np.hypot(x[:, hit], y[:, hit]), np.abs(x[:, hit])
+                escaped = ak > limit_e[hit]
+                stop = escaped | (hk > cap_e[hit])
+                first = stop.argmax(axis=0)
+                overflow = escaped[first, np.arange(hit.size)]
+                seen = np.arange(m)[:, None] < first + 1 - overflow
+                hi[hit] = np.where(seen, hk, -math.inf).max(axis=0)
+                hi[hit[overflow]] = math.inf
+                lo[hit] = np.where(seen, hk, math.inf).min(axis=0)
+                prox[hit] = np.where(seen, ak / hk, math.inf).min(axis=0)
+                live[hit] = False
+            np.maximum(self.mx, np.ldexp(hi, expo), out=self.mx)
+            np.minimum(self.mn, np.ldexp(lo[n:], expo[n:]), out=self.mn)
+        np.minimum(self.near, prox[n:], out=self.near)
 
 
 def norm_runs(params: Params, budget: int, cap: float) -> _NormStats:
@@ -429,7 +475,7 @@ def norm_runs(params: Params, budget: int, cap: float) -> _NormStats:
     buf = np.empty((chunk + 1, 2))
     expo = np.zeros(2, dtype=np.int64)
     runs = _NormRuns(1, chunk, cap)
-    # one-step chunks of steep slopes may overflow x*x in _norm_extremes
+    # one-step chunks of steep slopes may overflow x*x in the fold
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(0, budget, chunk):
             live = np.flatnonzero(runs.live).tolist()
@@ -439,54 +485,8 @@ def norm_runs(params: Params, budget: int, cap: float) -> _NormStats:
                 _, chain, e = next(lanes[j])
                 buf[:len(chain) - 1, j] = chain[1:]
                 expo[j] += e
-            m = len(chain) - 2
-            runs.fold(buf[1:m + 1], buf[:m], expo)
+            runs.fold(buf[:len(chain) - 1], expo)
     return runs.stats()[0]
-
-
-#: Relative slack of the candidate filters of :func:`_norm_extremes`,
-#: far above the few-ulp errors of ``hypot`` and of the squared norms.
-_SLACK = 2.0 ** -30
-#: Squared proximities below this may have lost accuracy to underflow.
-_TINY_Q = 2.0 ** -190
-
-
-def _norm_extremes(x, y):
-    """Column max and min of ``h = np.hypot(x, y)`` and column min of
-    ``|x| / h``, bit for bit, evaluating hypot only where an extreme
-    can be.
-
-    ``s = x*x + y*y`` and ``q = x*x / s`` are ``h**2`` and
-    ``(|x| / h)**2`` to a few ulps, so an element at a column extreme of
-    ``h`` (of ``|x| / h``) has ``s`` (``q``) within ``_SLACK`` of that
-    column's extreme ``s`` (``q``); the extremes over these candidates
-    are the extremes over all elements.  A ``q`` below ``2**-200`` may
-    have lost its relative accuracy to underflow in ``x*x``, so every
-    ``q`` up to ``_TINY_Q`` is a candidate too: its ``|x| / h`` is far
-    below that of any ``q`` above ``_TINY_Q``.  Needs finite elements
-    with ``max(|x|, |y|)`` in ``[2**-401, 2**401]``, as the kernel's
-    chunks keep them (see ``rescale_chunk``), or a single row: there
-    every element is a candidate, since ``s`` (inf where ``x*x``
-    overflows) is its own column extreme.
-    """
-    import numpy as np
-
-    xx = x * x
-    s = y * y
-    s += xx
-    q = np.divide(xx, s, out=xx)
-    cand = s >= s.max(axis=0) * (1.0 - _SLACK)
-    cand |= s <= s.min(axis=0) * (1.0 + _SLACK)
-    cand |= q <= np.maximum(q.min(axis=0) * (1.0 + _SLACK), _TINY_Q)
-    row, col = np.nonzero(cand)
-    xc = x[row, col]
-    h = np.hypot(xc, y[row, col])
-    hi = np.full(x.shape[1], -math.inf)
-    lo, prox = np.full((2, x.shape[1]), math.inf)
-    np.maximum.at(hi, col, h)
-    np.minimum.at(lo, col, h)
-    np.minimum.at(prox, col, np.abs(xc) / h)
-    return hi, lo, prox
 
 
 def _grid_value(rng: tuple[float, float], i: int, resolution: int) -> float:

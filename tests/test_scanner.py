@@ -609,41 +609,112 @@ def test_norm_runs_mpf_slopes_match_float():
         assert got == want, (a, b, cap)
 
 
-def _brute_norm_extremes(x, y):
+def _brute_fold(runs, chain, expo):
+    """What ``runs.fold(chain, expo)`` must leave: the running
+    statistics combined with every point's norm ratio and proximity from
+    ``np.hypot``, each live lane cut at its stop as the kernel cuts it."""
     import numpy as np
 
+    from pwlin.core import OVERFLOW_LIMIT
+
+    x, y = chain[1:], chain[:-1]
+    m, lanes = x.shape
+    n = lanes // 2
+    with np.errstate(over="ignore"):
+        h = np.hypot(x, y)
+        r = np.ldexp(h, expo)
+        escaped = np.ldexp(np.abs(x), expo) > OVERFLOW_LIMIT
+    stop = escaped | (r > runs.cap)
+    hit = runs.live & stop.any(axis=0)
+    first = stop.argmax(axis=0)
+    overflow = hit & escaped[first, np.arange(lanes)]
+    upto = np.where(hit, first + 1 - overflow, m)
+    seen = runs.live & (np.arange(m)[:, None] < upto)
+    mx = np.maximum(runs.mx, np.where(seen, r, -math.inf).max(axis=0))
+    mx[overflow] = math.inf
+    mn = np.minimum(runs.mn, np.where(seen, r, math.inf).min(axis=0)[n:])
+    near = np.minimum(runs.near, np.where(seen, np.abs(x) / h,
+                                          math.inf).min(axis=0)[n:])
+    return mx, mn, near, runs.live & ~hit
+
+
+@st.composite
+def _running_stats(draw, chain):
+    """A ``_NormRuns`` over the lanes of ``chain`` and per-lane
+    exponents: running stats at (ties), above or below the chunk's own,
+    the first chunk or a later one, some lanes stopped, and a cap at or
+    above every live lane's max, as the kernel keeps it."""
+    import numpy as np
+
+    from pwlin.scanner import _NormRuns
+
+    lanes = chain.shape[1]
+    n = lanes // 2
+    expo = np.array(draw(st.lists(st.integers(-600, 600), min_size=lanes,
+                                  max_size=lanes)), dtype=np.int64)
+    x, y = chain[1:], chain[:-1]
     h = np.hypot(x, y)
-    return h.max(axis=0), h.min(axis=0), (np.abs(x) / h).min(axis=0)
+    ratios = np.ldexp(h, expo)
+    prox = np.abs(x) / h
+    runs = _NormRuns(n, chain.shape[0] - 1, math.inf)
+    runs.fresh = draw(st.booleans())
+    for j in range(lanes):
+        ties = [v for v in ratios[:, j].tolist() if math.isfinite(v)] + [1.0]
+        runs.mx[j] = draw(st.one_of(st.sampled_from(ties),
+                                    st.floats(1.0, 1e12)))
+        runs.live[j] = draw(st.booleans())
+        if j >= n:
+            runs.mn[j - n] = draw(st.one_of(st.sampled_from(ties),
+                                            st.floats(1e-12, 1.0)))
+            runs.near[j - n] = draw(st.one_of(
+                st.sampled_from(prox[:, j].tolist() + [0.0, math.inf]),
+                st.floats(0.0, 1.0)))
+    top = max(runs.mx[runs.live].tolist(), default=1.0)
+    runs.cap = draw(st.one_of(
+        st.just(math.inf),
+        st.sampled_from([v for v in ratios.ravel().tolist() if v >= top]
+                        + [top]),
+        st.floats(1.0, 2.0 ** 20).map(lambda u: top * u)))
+    return runs, expo
 
 
-def _assert_norm_extremes_exact(x, y):
+def _assert_fold_exact(chain, data):
     import numpy as np
 
-    from pwlin.scanner import _norm_extremes
+    runs, expo = data.draw(_running_stats(chain))
+    want = _brute_fold(runs, chain, expo)
+    runs.fold(chain, expo)
+    for field, got, value in zip(("mx", "mn", "near", "live"),
+                                 (runs.mx, runs.mn, runs.near, runs.live),
+                                 want):
+        assert np.array_equal(got, value), field
 
-    for got, want in zip(_norm_extremes(x, y), _brute_norm_extremes(x, y)):
-        assert np.array_equal(got, want)
 
-
-def test_norm_extremes_ties_and_near_axis():
+@settings(max_examples=200)
+@given(st.data())
+def test_fold_ties_and_near_axis(data):
     import numpy as np
 
-    # equal norms in every column, exact zeros, |x| / h far below the
-    # square root of the smallest normal, and the scale limits; in the
-    # last column x*x is subnormal and the smaller |x| / h (row 0) has
-    # the larger x*x / s
-    x = np.array([[3.0, 0.0, 1e-300, 2.0 ** -401, 1.0, 6.547207907092882e-161],
-                  [4.0, 5.0, 1e-200, -(2.0 ** 401), 1.0,
-                   1.1016416011082776e-160],
-                  [-3.0, -0.0, -1e-250, 2.0 ** -300, 1.0, 0.3],
-                  [0.0, 3.0, 1e-170, 2.0 ** 200, 1.0, 3.0]])
-    y = np.array([[4.0, 5.0, 1.0, 2.0 ** -401, 1.0, 1.0],
-                  [3.0, 0.0, 2.0, 2.0 ** 401, 1.0, 1.68259525107728],
-                  [-4.0, -5.0, 0.5, 1.0, 1.0, 0.2],
-                  [5.0, 4.0, 1.5, -(2.0 ** 200), 1.0, 3.0]])
-    q = x[:, 5] ** 2 / (x[:, 5] ** 2 + y[:, 5] ** 2)
-    assert q[0] > q[1] and x[0, 5] / y[0, 5] < x[1, 5] / y[1, 5]
-    _assert_norm_extremes_exact(x, y)
+    # point k is (chain[k + 1], chain[k]); by column: equal norms and an
+    # exact zero; signed zeros; |x| / h far below the square root of the
+    # smallest normal; the scale limits; one point repeated; subnormal
+    # x*x where the smaller |x| / h (point 0) has the larger x*x / s
+    # (point 2).  Reversed, each column is a forward and a backward lane.
+    chain = np.array([
+        [4.0, 5.0, 1.0, 2.0 ** -401, 1.0, 1.0],
+        [3.0, 0.0, 1e-300, 2.0 ** -401, 1.0, 6.547207907092882e-161],
+        [-4.0, 5.0, 2.0, 2.0 ** 401, 1.0, 1.68259525107728],
+        [3.0, -0.0, 1e-200, -(2.0 ** 401), 1.0, 1.1016416011082776e-160],
+        [4.0, -5.0, 0.5, 1.0, 1.0, 0.3],
+        [0.0, -0.0, -1e-250, 2.0 ** -300, 1.0, 0.2],
+        [5.0, 3.0, 1.5, -(2.0 ** 200), 1.0, 3.0],
+        [-3.0, 4.0, 1e-170, 2.0 ** 200, 1.0, 3.0],
+    ])
+    x, y = chain[1:, 5], chain[:-1, 5]
+    q = x ** 2 / (x ** 2 + y ** 2)
+    assert q[0] > q[2] and x[0] / y[0] < x[2] / y[2]
+    _assert_fold_exact(chain, data)
+    _assert_fold_exact(chain[:, ::-1].copy(), data)
 
 
 _COMPONENTS = st.one_of(
@@ -654,16 +725,57 @@ _COMPONENTS = st.one_of(
 
 
 @settings(max_examples=300)
-@given(st.integers(1, 12), st.integers(1, 5), st.data())
-def test_norm_extremes_match_hypot_everywhere(m, lanes, data):
+@given(st.integers(1, 12), st.integers(1, 3), st.data())
+def test_fold_matches_hypot_everywhere(m, n, data):
     import numpy as np
 
-    values = data.draw(st.lists(_COMPONENTS, min_size=2 * m * lanes,
-                                max_size=2 * m * lanes))
-    x, y = np.array(values).reshape(2, m, lanes)
+    values = data.draw(st.lists(_COMPONENTS, min_size=(m + 1) * 2 * n,
+                                max_size=(m + 1) * 2 * n))
+    chain = np.array(values).reshape(m + 1, 2 * n)
     # the kernel's chunks keep max(|x|, |y|) in [2**-401, 2**401]
-    y[np.maximum(np.abs(x), np.abs(y)) < 2.0 ** -401] = 1.0
-    _assert_norm_extremes_exact(x, y)
+    for k in range(m):
+        small = np.maximum(np.abs(chain[k]), np.abs(chain[k + 1]))
+        chain[k][small < 2.0 ** -401] = 1.0
+    _assert_fold_exact(chain, data)
+
+
+def test_norm_runs_norm_above_half_the_limit_does_not_stop():
+    # (0, 1) -> (-1, 0) -> (-1e300, -1): a norm above OVERFLOW_LIMIT / 2,
+    # a candidate of the fold, with |x| at the limit and not above it,
+    # so the run goes on; the next step overflows
+    from pwlin.scanner import norm_runs
+
+    from oracles import norm_run
+
+    params = Params(0.0, 1e300)
+    got = norm_runs(params, 700, math.inf)
+    assert got.fwd_max == math.inf
+    assert got == (*norm_run(params, True, 700, math.inf),
+                   norm_run(params, False, 700, math.inf)[0])
+
+
+def test_fold_overflow_below_the_running_max_stops_the_run():
+    # cap = inf and a running max of hypot(1e300, 1e300); then |x| passes
+    # OVERFLOW_LIMIT at a smaller norm, which only the overflow rule
+    # makes a candidate: the run stops there, uncounted, with max inf
+    import numpy as np
+
+    from pwlin.scanner import _NormRuns
+
+    runs = _NormRuns(1, 2, math.inf)
+    runs.fresh = False
+    runs.mx[:] = math.hypot(1e300, 1e300)
+    expo = np.full(2, 1000, dtype=np.int64)
+    chain = np.ldexp(np.array([[1e299] * 2, [1.1e300] * 2, [1e299] * 2]),
+                     -1000)
+    assert np.hypot(chain[1], chain[0]).max() < np.ldexp(runs.mx, -1000).min()
+    want = _brute_fold(runs, chain, expo)
+    runs.fold(chain, expo)
+    assert runs.mx.tolist() == [math.inf, math.inf]
+    assert runs.live.tolist() == [False, False]
+    assert (runs.mn.tolist(), runs.near.tolist()) == ([1.0], [math.inf])
+    for got, value in zip((runs.mx, runs.mn, runs.near, runs.live), want):
+        assert np.array_equal(got, value)
 
 
 def _reference_orbit_csv(params, start, n, path):

@@ -22,9 +22,10 @@ from .core import OVERFLOW_LIMIT, Params, Point, walk_chain
 from .errors import (ArgumentError, AsymptoteInSectorError, CommutationError,
                      InconsistentPieceError, OrbitOverflowError,
                      PeriodicSuspectError, PwlinError)
-from .returnmap import (OrbitRelation, commutator_residual,
+from .returnmap import (UNSURE, OrbitRelation, commutator_residual,
                         distinguished_sectors, distinguished_set,
-                        first_sector, return_map)
+                        first_sector, lookup_sectors, return_map,
+                        sector_table)
 
 #: Builder acceptance thresholds (two orders above double noise at 1e5 steps).
 MAX_GAP = 1e-6
@@ -239,15 +240,18 @@ def residual_report(
     (CCW order of the arcs).
 
     The orbit is walked in chunks of at most ``RESIDUAL_CHUNK`` points
-    by the float walker ``rotation_number`` also uses
-    (:func:`walk_chain`: ``step``'s arithmetic, no per-step check).
+    by the float walker :func:`walk_chain` (``step``'s arithmetic, no
+    per-step check).
     ``step`` would raise at the first component beyond
     ``OVERFLOW_LIMIT``, and that aborts the whole call, so the same
     error is raised when any non-NaN point of a chunk exceeds it.  Each
-    chunk's sectors come from :func:`~pwlin.returnmap.first_sector`, its
-    residuals from numpy, each operation the one ``QuadraticForm``
-    performs, in the same order: the result is bit-identical to the
-    per-point loop, and a NaN residual is never recorded.
+    chunk's sectors come from a :func:`~pwlin.returnmap.sector_table`
+    built once; the points it leaves unsure are kept and classified at
+    the end by one :func:`~pwlin.returnmap.first_sector` call.  The
+    residuals come from numpy, each operation the one ``QuadraticForm``
+    performs, in the same order, and a per-sector maximum does not
+    depend on the order of its points: the result is bit-identical to
+    the per-point loop, and a NaN residual is never recorded.
     """
     max_res, per_sector, _ = _residual_walk(circle, orbit_len, start, 0)
     return max_res, per_sector
@@ -258,17 +262,29 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
                                        tuple[np.ndarray, np.ndarray]]:
     """:func:`residual_report`, plus the first ``keep + 1`` points of its
     orbit (``start`` included) as float64 x and y arrays, taken from the
-    same walk."""
+    same walk.  Each chunk's chain becomes one array (``np.fromiter``),
+    the table places its points in sectors, and the points it leaves
+    unsure wait for the one ``first_sector`` call after the walk."""
     import numpy as np
 
     sectors = [arc.sector for arc in circle.arcs]
-    coef_a = np.array([arc.form.A for arc in circle.arcs])
-    coef_2b = np.array([2.0 * arc.form.B for arc in circle.arcs])
-    coef_c = np.array([arc.form.C for arc in circle.arcs])
-    levels = np.array([arc.level for arc in circle.arcs])
-    scales = np.array([max(1.0, abs(arc.level)) for arc in circle.arcs])
-    best = np.zeros(len(circle.arcs))
+    forms = [(arc.form.A, 2.0 * arc.form.B, arc.form.C, arc.level,
+              max(1.0, abs(arc.level))) for arc in circle.arcs]
+    # two trailing slots take the indices -2 (unsure) and -1 (in no
+    # sector) and are dropped at the end; fmax skips nan residuals
+    coef_a, coef_2b, coef_c, levels, scales = np.array(
+        [*zip(*forms, (math.nan,) * 5, (math.nan,) * 5)])
+    best = np.zeros(len(circle.arcs) + 2)
 
+    def fold(sec, px, py):  # each sector's largest residual so far
+        # float overflow and inf - inf pass silently, as in scalar code
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = (coef_a[sec] * px * px + coef_2b[sec] * px * py
+                 + coef_c[sec] * py * py)
+            np.fmax.at(best, sec, np.abs(q - levels[sec]) / scales[sec])
+
+    table = sector_table(sectors)
+    unsure = []  # (x, y) of the points the table cannot place
     a, b = circle.params.a, circle.params.b
     limit = OVERFLOW_LIMIT
     x, y = start
@@ -279,7 +295,7 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
     while done < orbit_len:
         m = min(RESIDUAL_CHUNK, orbit_len - done)
         chain = walk_chain(a, b, x, y, m)
-        xs = np.array(chain)
+        xs = np.fromiter(chain, float, len(chain))
         # the start's x was tested above, every later x is in this chunk
         if (np.abs(xs[2:]) > limit).any():
             raise OrbitOverflowError(f"orbit component exceeded {limit:g}")
@@ -289,18 +305,15 @@ def _residual_walk(circle: InvariantCircle, orbit_len: int, start: Point,
         done += m
 
         px, py = xs[2:], xs[1:-1]
-        sec = first_sector(sectors, px, py)
-        hit = sec >= 0
-        sec = sec[hit]
-        px, py = px[hit], py[hit]
-        # float overflow and inf - inf pass silently, as in scalar code
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = (coef_a[sec] * px * px + coef_2b[sec] * px * py
-                 + coef_c[sec] * py * py)
-            r = np.abs(q - levels[sec]) / scales[sec]
-        valid = ~np.isnan(r)
-        np.maximum.at(best, sec[valid], r[valid])
-    per_sector = [float(v) for v in best]
+        sec = lookup_sectors(table, px, py)
+        fold(sec, px, py)
+        late = np.flatnonzero(sec == UNSURE)
+        if late.size:
+            unsure.append((px[late], py[late]))
+    if unsure:
+        px, py = (np.concatenate(v) for v in zip(*unsure))
+        fold(first_sector(sectors, px, py), px, py)
+    per_sector = [float(v) for v in best[:-2]]
     prefix = np.concatenate(kept, dtype=float)
     return max(per_sector), per_sector, (prefix[1:], prefix[:-1])
 

@@ -233,8 +233,8 @@ def rotation_brackets(params: Params, steps: int):
     turns = 0
     lower = upper = None
     for done, chain, _ in walk_rescaled(a, b, 1.0, 0.0, steps, chunk, chunk):
-        chain = np.array(chain)
         m = len(chain) - 2
+        chain = np.fromiter(chain, float, m + 2)
         # point j of the chunk is (chain[j + 1], chain[j]); the step
         # out of it winds when x < 0 <= y
         neg = chain < 0.0

@@ -267,10 +267,21 @@ def walk_chain(a: float, b: float, x: float, y: float, n: int) -> list:
     point's x, so point ``k`` of the orbit is ``(chain[k + 1],
     chain[k])``.  Each step is :func:`step`'s arithmetic without its
     overflow test; callers bound the chunk or check it afterwards.
+    The loop takes four steps per pass, each the same expression, so
+    every number type gets the values of a one-step loop.
     """
     chain = [y, x]
     push = chain.append
-    for _ in range(n):
+    for _ in range(n >> 2):
+        x1 = a * x - y if x >= 0.0 else b * x - y
+        push(x1)
+        x2 = a * x1 - x if x1 >= 0.0 else b * x1 - x
+        push(x2)
+        y = a * x2 - x1 if x2 >= 0.0 else b * x2 - x1
+        push(y)
+        x = a * y - x2 if y >= 0.0 else b * y - x2
+        push(x)
+    for _ in range(n & 3 if n > 0 else 0):
         x, y = (a * x - y if x >= 0.0 else b * x - y), x
         push(x)
     return chain

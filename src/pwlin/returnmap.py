@@ -11,7 +11,9 @@ the distinguished set) rests on the sign of a cross product
 numbers: the float result decides wherever it clears its rounding
 error bound, and integer arithmetic on the numbers' ratios decides the
 rest.  Angles are only read out (``Ray.angle``, probe placement),
-never compared.
+never compared, except by :func:`sector_table`'s pseudo-angle bins,
+and those only filter: a point they cannot provably place goes to
+the exact sign rule.
 """
 from __future__ import annotations
 
@@ -34,6 +36,12 @@ RAY_DEDUP_TOL = 1e-11
 #: ``|l - r| > _ERR * (|l| + |r|) + _TINY`` (4x the rounding error, plus
 #: a margin for products that underflow).
 _ERR, _TINY = 2.0 ** -51, 2.0 ** -1000
+
+#: :meth:`Sector.first_inside` tests ranges of at most SHORT_RANGE
+#: points one point at a time.  :func:`sector_table` has TABLE_BINS
+#: equal bins of the pseudo-angle [0, 4), and UNSURE marks a bin or a
+#: point whose sector it cannot prove.
+SHORT_RANGE, TABLE_BINS, UNSURE = 32, 2 ** 14, -2
 
 
 def _sgn(v) -> int:
@@ -145,16 +153,41 @@ class Sector:
         ray (``first``) and of the end ray (``ahead``)."""
         return first & ahead if self._end_half == 0 else first | ahead
 
-    def first_inside(self, xs, ys, lo: int, hi: int) -> int | None:
-        """Smallest k in [lo, hi) with the float point ``(xs[k], ys[k])``
-        inside, or None: :meth:`contains` over the range, in numpy."""
-        import numpy as np
+    def first_inside(self, xs, ys, lo: int, hi: int, shift=0) -> int | None:
+        """Smallest k in [lo, hi) with the float point ``(xs[k], ys[k +
+        shift])`` inside, or None: :meth:`contains` up to the lists' end.
+        Up to ``SHORT_RANGE`` points, :func:`_sides`' float test runs
+        point by point, with :func:`_half` and :func:`cross_sign` where
+        it cannot decide, and stops at the first hit; else numpy."""
+        hi = min(hi, len(xs), len(ys) - shift)
+        u, v = self.start.direction, self.end.direction
+        if hi - lo > SHORT_RANGE:
+            import numpy as np
 
-        first, ahead = _sides((self.start.direction, self.end.direction),
-                              np.array(xs[lo:hi], float),
-                              np.array(ys[lo:hi], float))
-        hit = np.flatnonzero(self._mask(first[0], ahead[1]))
-        return lo + int(hit[0]) if hit.size else None
+            first, ahead = _sides(
+                (u, v), np.fromiter(xs[lo:hi], float, hi - lo),
+                np.fromiter(ys[lo + shift:hi + shift], float, hi - lo))
+            hit = np.flatnonzero(self._mask(first[0], ahead[1]))
+            return lo + int(hit[0]) if hit.size else None
+        (u0, u1), (v0, v1) = u, v
+        scale = _ERR * max(abs(u0) + abs(u1), abs(v0) + abs(v1))
+        wide = self._end_half == 1
+        for k in range(lo, hi):
+            x, y = xs[k], ys[k + shift]
+            ax, ay = abs(x), abs(y)
+            # a non-finite point makes d or the bound nan or inf: unsure
+            bound = scale * (ax if ax > ay else ay) + _TINY
+            d = u0 * y - u1 * x
+            first = d > bound or not d < -bound and x - x == 0 == y - y \
+                and _half(u, (x, y)) == 0
+            if first and wide:
+                return k
+            if first or wide:  # inside when ahead of the end ray
+                d = v0 * y - v1 * x
+                if d < -bound or not d > bound and x - x == 0 == y - y \
+                        and cross_sign(v, (x, y)) < 0:
+                    return k
+        return None
 
     def angle_at(self, fraction: float) -> float:
         """Angle at a fractional position across the sector (not reduced
@@ -218,6 +251,62 @@ def first_sector(sectors: list[Sector], x: np.ndarray,
         f, a = first[row[s.start.direction]], ahead[row[s.end.direction]]
         np.putmask(out, s._mask(f, a), i)
     return out
+
+
+def _pseudo_angle(x: float, y: float) -> float:
+    """1 - x/(|x|+|y|) for y >= 0, else 3 + x/(|x|+|y|): increasing with
+    the angle, [0, 2pi) onto [0, 4), no ``atan2``; within 2^-51 in
+    floats when |x|+|y| lies in (2^-900, inf)."""
+    t = x / (abs(x) + abs(y))
+    return 1.0 - t if y >= 0.0 else 3.0 + t
+
+
+def sector_table(sectors: list[Sector]) -> np.ndarray:
+    """:func:`first_sector` over ``TABLE_BINS`` equal bins of the
+    pseudo-angle, as int16; ``UNSURE`` marks the bins it cannot prove.
+
+    The cuts are every ray's pseudo-angle, 0 and 4.  A bin is sure when
+    its range, widened by 2^-40, holds no cut: every point whose float
+    pseudo-angle falls in it then lies strictly between the same rays
+    as the middle of its gap between cuts, whose sector it gets.  All
+    bins are unsure when a ray's pseudo-angle cannot be trusted."""
+    import numpy as np
+
+    table = np.full(TABLE_BINS, UNSURE, np.int16)
+    dirs = [r.direction for s in sectors for r in (s.start, s.end)]
+    if not all(type(x) is float is type(y)
+               and 2.0 ** -900 < abs(x) + abs(y) < math.inf for x, y in dirs):
+        return table
+    cuts = sorted({0.0, 4.0, *(_pseudo_angle(*d) for d in dirs)})
+    mids = [(c + d) / 2 for c, d in zip(cuts, cuts[1:])]
+    # a direction at each middle, _pseudo_angle inverted
+    xs = [1.0 - m if m <= 2.0 else m - 3.0 for m in mids]
+    ys = [math.copysign(1.0 - abs(x), 2.0 - m) for x, m in zip(xs, mids)]
+    owners = first_sector(sectors, np.array(xs), np.array(ys))
+    n, w = TABLE_BINS / 4, 2.0 ** -40
+    for c, d, owner in zip(cuts, cuts[1:], owners.tolist()):
+        # bin i, [i, i + 1) / n, widened by w lies strictly inside (c, d)
+        table[math.floor((c + w) * n) + 1:
+              max(math.ceil((d - w) * n) - 1, 0)] = owner
+    return table
+
+
+def lookup_sectors(table: np.ndarray, x: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """:func:`first_sector` of each float point from a
+    :func:`sector_table`, or ``UNSURE`` for a point in an unsure bin or
+    with |x|+|y| outside (2^-900, inf), where the pseudo-angle's error
+    bound fails."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # zero, huge, inf and nan points
+        s = np.abs(x) + np.abs(y)
+        t = x / s
+        i = (np.where(y >= 0.0, 1.0 - t, 3.0 + t)
+             * (TABLE_BINS / 4)).astype(np.intp)
+    owner = table[np.clip(i, 0, TABLE_BINS - 1)].astype(np.intp)
+    owner[~((s > 2.0 ** -900) & (s < math.inf))] = UNSURE
+    return owner
 
 
 @dataclass(frozen=True)
@@ -287,7 +376,7 @@ def first_preimage_in(
         part = walk_chain(params.a, params.b, y, x, m)
         esc = first_escape(part, 1)
         end = m if esc is None else max(esc - 2, 0) + 1
-        k = sector.first_inside(part, part[1:], max(i_min - lo, 0), end)
+        k = sector.first_inside(part, part, max(i_min - lo, 0), end, 1)
         if k is not None:
             return Ray.through((part[k], part[k + 1])), lo + k
         if esc is not None:

@@ -1,6 +1,7 @@
 """Map evaluation, iteration, cocycle products, and their invariants."""
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -322,6 +323,41 @@ def test_walk_chain_is_iterate(params_a12):
     orbit, _ = iterate(params_a12, (0.37, -0.81), 50)
     chain = walk_chain(params_a12.a, params_a12.b, 0.37, -0.81, 50)
     assert list(zip(chain[1:], chain[:-1])) == orbit
+
+
+def _reference_walk_chain(a, b, x, y, n):
+    """One step per loop pass: the walker's values, element for element."""
+    chain = [y, x]
+    for _ in range(n):
+        x, y = (a * x - y if x >= 0.0 else b * x - y), x
+        chain.append(x)
+    return chain
+
+
+_WALK_STARTS = [(0.0, 1.0), (-0.0, -1.0), (0.0, -0.0), (math.nan, 1.0),
+                (1.0, math.nan), (math.inf, 0.5), (-math.inf, 2.0),
+                (0.37, -0.81)]
+
+
+@pytest.mark.parametrize("kind, start", [
+    (kind, start) for kind in ("float", "Fraction", "mpf")
+    for start in _WALK_STARTS  # a Fraction has no nan or inf
+    if kind != "Fraction" or all(map(math.isfinite, start))])
+def test_walk_chain_is_a_one_step_loop(kind, start):
+    """Four steps per pass give the one-step loop's values, by repr,
+    for every n from -1 to 9 and some longer walks, on floats,
+    ``Fraction``s and mpf numbers."""
+    import mpmath
+
+    a, b = 1.189207115002721, -0.7
+    if kind != "float":
+        to = Fraction if kind == "Fraction" else mpmath.mpf
+        a, b, start = to(a), to(b), tuple(map(to, start))
+    rng = random.Random(f"{kind}/{start}")
+    top = 60 if kind == "Fraction" else 300  # exact values grow per step
+    for n in [*range(-1, 10), *(rng.randrange(10, top) for _ in range(4))]:
+        assert repr(walk_chain(a, b, *start, n)) == repr(
+            _reference_walk_chain(a, b, *start, n)), n
 
 
 # ------------------- the extended-precision walker -------------------

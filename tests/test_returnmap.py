@@ -2,8 +2,10 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,10 @@ from pwlin.errors import (
     OrbitOverflowError,
     PwlinError,
 )
-from pwlin.returnmap import MAX_CHUNK, _first_return
+import pwlin.returnmap as returnmap
+from pwlin.returnmap import (MAX_CHUNK, TABLE_BINS, UNSURE, _first_return,
+                             _pseudo_angle, first_sector, lookup_sectors,
+                             sector_table)
 
 import oracles
 from conftest import A_SPECIAL, B_SPECIAL, C_SPECIAL
@@ -347,18 +352,67 @@ _COORDS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
     [0.0, -0.0, 1e-320, 1e308, math.inf, -math.inf, math.nan]))
 
 
-@given(_ANGLES, st.floats(0.01, 6.2),
-       st.lists(st.tuples(_COORDS, _COORDS), max_size=40),
-       st.integers(0, 5), st.integers(0, 45))
+def _sized(elements, top: int):
+    """Lists of a uniform size in [0, top]: Hypothesis's own lists are
+    rarely long enough to reach numpy's path."""
+    return st.integers(0, top).flatmap(
+        lambda k: st.lists(elements, min_size=k, max_size=k))
+
+
+@given(_ANGLES, st.floats(0.01, 6.2), _sized(st.tuples(_COORDS, _COORDS), 80),
+       st.integers(0, 5), st.integers(0, 90))
 def test_first_inside_is_contains(start, width, points, lo, hi):
     """The sector's range test is its per-point test, nan and the
-    sector's own rays included."""
+    sector's own rays included, on ranges shorter and longer than
+    ``SHORT_RANGE``."""
     sector = _sector(start, width)
     points += [sector.start.direction, sector.end.direction]
     xs, ys = [p[0] for p in points], [p[1] for p in points]
     want = next((k for k in range(lo, min(hi, len(points)))
                  if sector.contains(points[k])), None)
     assert sector.first_inside(xs, ys, lo, hi) == want
+
+
+def _nudged(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def _near_ray(direction, e, dx, dy):
+    """The ray's direction times 2^e, each component moved a few ulps."""
+    return (_nudged(math.ldexp(direction[0], e), dx),
+            _nudged(math.ldexp(direction[1], e), dy))
+
+
+_EDGES = st.one_of(_COORDS, st.floats(allow_subnormal=True), st.sampled_from(
+    [5e-324, -5e-324, 2.2e-308, -1.7976931348623157e308]))
+_ULPS = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@given(_ANGLES, st.floats(1e-6, 6.2), st.data())
+def test_first_inside_paths_agree(start, width, data):
+    """The one-point-at-a-time path and the numpy path return the same
+    index: on the rays and a few ulps off them at all scales, on +-0,
+    subnormal, huge, inf and nan components, with ``hi`` past the end;
+    and a shifted second list reads the same points."""
+    sector = _sector(start, width)
+    rays = [sector.start.direction, sector.end.direction]
+    point = st.one_of(st.tuples(_EDGES, _EDGES), st.builds(
+        _near_ray, st.sampled_from(rays), st.integers(-1074, 1020),
+        _ULPS, _ULPS))
+    points = data.draw(_sized(point, 80))
+    lo, hi = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 100))
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    with patch.object(returnmap, "SHORT_RANGE", -1):
+        in_numpy = sector.first_inside(xs, ys, lo, hi)
+    with patch.object(returnmap, "SHORT_RANGE", 10 ** 9):
+        assert sector.first_inside(xs, ys, lo, hi) == in_numpy
+    chain = [v for p in points for v in p]
+    for short in (-1, 10 ** 9):  # point k is (chain[k], chain[k + 1])
+        with patch.object(returnmap, "SHORT_RANGE", short):
+            assert sector.first_inside(chain, chain, lo, hi, 1) == (
+                sector.first_inside(chain, chain[1:], lo, hi))
 
 
 _FAR = st.floats(-1e300, 1e300, allow_subnormal=True)
@@ -378,6 +432,91 @@ def test_contains_agrees_with_angle_oracle(start, width, points):
     want = next((k for k, p in enumerate(clear)
                  if oracles.angle_contains(sector, p)), None)
     assert sector.first_inside(xs, ys, 0, len(clear)) == want
+
+
+# ------------------------ the sector bin table ------------------------
+
+def _direction_at(m: float):
+    """A direction at pseudo-angle m in [0, 4), the inverse of
+    ``_pseudo_angle``."""
+    t = 1.0 - m if m <= 2.0 else m - 3.0
+    return t, (1.0 - abs(t)) * (1.0 if m <= 2.0 else -1.0)
+
+
+def _near_cut(cut, k, e):
+    """The direction 2^e times k * 2^-43 from a cut in pseudo-angle."""
+    d = _direction_at((cut + k * 2.0 ** -43) % 4.0)
+    return math.ldexp(d[0], e), math.ldexp(d[1], e)
+
+
+def _edge_ray(k, j):
+    """A ray j ulps (of 2) in pseudo-angle from the edge of bin k."""
+    return Ray.through(_direction_at((k * 4.0 / TABLE_BINS
+                                      + j * 2.0 ** -51) % 4.0))
+
+
+def _sector_list(partition, data):
+    if partition:  # consecutive sectors around the plane
+        start, widths = data.draw(st.tuples(_ANGLES, st.lists(
+            st.floats(1e-6, 0.5), min_size=1, max_size=11)))
+        rays = [Ray.at_angle(t) for t in accumulate(widths, initial=start)]
+        return [Sector(r, s) for r, s in zip(rays, rays[1:] + rays[:1])]
+    # free: overlaps and gaps, with rays next to the bins' edges
+    ray = st.one_of(st.builds(_edge_ray, st.integers(0, TABLE_BINS - 1),
+                              st.integers(-4, 4)), _ANGLES.map(Ray.at_angle))
+    pairs = data.draw(st.lists(st.tuples(ray, ray), min_size=1, max_size=10)
+                      | st.lists(st.tuples(_ANGLES, st.floats(1e-6, 6.2)).map(
+                          lambda tw: (Ray.at_angle(tw[0]),
+                                      Ray.at_angle(tw[0] + tw[1]))),
+                          min_size=1, max_size=10))
+    try:
+        return [Sector(u, v) for u, v in pairs]
+    except DegenerateError:
+        assume(False)
+
+
+@given(st.booleans(), st.data())
+def test_sector_table_is_first_sector(partition, data):
+    """The table's sure answers, with its unsure points classified by
+    ``first_sector``, are ``first_sector``'s index (itself the first
+    sector that ``contains`` the point) for every point: on and a few
+    ulps off the rays, within 2^-40 in pseudo-angle of a cut, and with
+    +-0, subnormal, huge, inf and nan components."""
+    sectors = _sector_list(partition, data)
+    dirs = [r.direction for s in sectors for r in (s.start, s.end)]
+    cuts = [0.0, 4.0, *(_pseudo_angle(*d) for d in dirs)]
+    point = st.one_of(
+        st.tuples(_EDGES, _EDGES), st.tuples(_FAR, _FAR),
+        st.builds(_near_ray, st.sampled_from(dirs), st.integers(-1074, 1020),
+                  _ULPS, _ULPS),
+        st.builds(_near_cut, st.sampled_from(cuts), st.integers(-8, 8),
+                  st.integers(-1000, 1000)))
+    points = data.draw(_sized(point, 60))
+    x = np.array([p[0] for p in points], float)
+    y = np.array([p[1] for p in points], float)
+    want = first_sector(sectors, x, y)
+    assert want.tolist() == [next((i for i, s in enumerate(sectors)
+                                   if s.contains(p)), -1) for p in points]
+    table = sector_table(sectors)
+    got = lookup_sectors(table, x, y)
+    late = got == UNSURE
+    got[late] = first_sector(sectors, x[late], y[late])
+    assert got.tolist() == want.tolist()
+    # each cut leaves at most two bins unsure
+    assert np.count_nonzero(table == UNSURE) <= 2 * len(cuts)
+
+
+def test_sector_table_distrusts_rays_it_cannot_place():
+    """A ray that is not a float pair, or too short for the pseudo-angle's
+    error bound, leaves every bin unsure."""
+    F = Fraction
+    quadrant = Sector(Ray.through((F(1), F(0))), Ray.through((F(0), F(1))))
+    tiny = Sector(Ray((1e-300, 1e-300)), Ray.at_angle(2.0))
+    for sectors in ([quadrant, _sector(2.0, 1.0)], [tiny]):
+        assert (sector_table(sectors) == UNSURE).all()
+    lookup = lookup_sectors(sector_table([tiny]), np.array([1.0]),
+                            np.array([1.0]))
+    assert lookup.tolist() == [UNSURE]
 
 
 # --------------------------- return maps ---------------------------
